@@ -25,7 +25,12 @@ from .exact import (
     sir_y_of_x,
     sir_z_of_x,
 )
-from .figures import lv_orbit_period, polyline_self_intersects, reproduce_figure
+from .figures import (
+    lv_closed_orbit,
+    lv_orbit_period,
+    polyline_self_intersects,
+    reproduce_figure,
+)
 from .integrators import (
     DivergenceError,
     IntegrationError,

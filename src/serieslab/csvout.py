@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 
 def format_cell(value) -> str:
     if hasattr(value, "item"):
@@ -35,6 +37,9 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> Path:
     for key, value in (meta or {}).items():
         lines.append(f"# {key}={value}")
     lines.append(",".join(columns))
+    if isinstance(rows, np.ndarray):
+        # plain Python scalars format without a per-cell .item() call
+        rows = rows.tolist()
     for row in rows:
         lines.append(",".join(format_cell(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

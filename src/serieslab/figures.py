@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvout import write_csv
 from .exact import sir_endpoints, sir_y_of_x, sir_z_of_x
-from .integrators import reference_integrate, sample_series
+from .integrators import Trajectory, reference_integrate, sample_series
 from .models import ModelInstance, make_model
 from .series import eval_series, generate_taylor_solution
 from .svgplot import LinePlot
@@ -30,8 +30,11 @@ def polyline_self_intersects(points) -> bool:
     """True if any two non-adjacent segments of the polyline cross properly.
 
     Shared endpoints and tangential touches do not count, so a closed or
-    almost-closed simple curve stays negative.  Quadratic in the number of
-    points but fully vectorised; thousands of points are fine.
+    almost-closed simple curve stays negative.  Segments are tested in
+    blocks of 64 against the later segments whose bounding boxes meet the
+    block's box (a proper crossing needs that overlap), so a curve that
+    does not fold back on itself costs close to linear time; the worst
+    case stays quadratic in the number of points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -42,46 +45,58 @@ def polyline_self_intersects(points) -> bool:
     p = pts[:-1]
     q = pts[1:]
     d = q - p
+    lo = np.minimum(p, q)
+    hi = np.maximum(p, q)
 
     def cross(v, w):
         return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
 
     for i in range(0, n, 64):
         block = slice(i, min(i + 64, n))
+        # candidate partners: strictly later, non-adjacent segments whose
+        # boxes meet the block's box
+        near = np.all((lo[i + 2:] <= hi[block].max(axis=0))
+                      & (hi[i + 2:] >= lo[block].min(axis=0)), axis=1)
+        j = np.flatnonzero(near) + (i + 2)
+        if j.size == 0:
+            continue
         pi = p[block, None, :]
         di = d[block, None, :]
-        # candidate partners: strictly later, non-adjacent segments
-        d1 = cross(d[None, :, :], pi - p[None, :, :])
-        d2 = cross(d[None, :, :], pi + di - p[None, :, :])
-        d3 = cross(di, p[None, :, :] - pi)
-        d4 = cross(di, q[None, :, :] - pi)
+        pj = p[j][None, :, :]
+        dj = d[j][None, :, :]
+        d1 = cross(dj, pi - pj)
+        d2 = cross(dj, pi + di - pj)
+        d3 = cross(di, pj - pi)
+        d4 = cross(di, q[j][None, :, :] - pi)
         hits = (d1 * d2 < 0) & (d3 * d4 < 0)
-        idx_i = np.arange(i, min(i + 64, n))[:, None]
-        idx_j = np.arange(n)[None, :]
-        hits &= idx_j >= idx_i + 2
+        hits &= j[None, :] >= np.arange(i, block.stop)[:, None] + 2
         if np.any(hits):
             return True
     return False
 
 
 def lv_orbit_period(model: ModelInstance, t_max: float = 200.0) -> float:
-    """Orbital period of a predator-prey solution, from successive upward
-    crossings of the predator mid-level."""
+    """Orbital period of a predator-prey solution, from two successive
+    upward crossings of the center's predator level y = a/b.
+
+    Every orbit around the center crosses that level upwards once per
+    period, so one solve that stops at the second crossing suffices.
+    """
     if model.label != "lotka_volterra":
         raise ValueError("expected a lotka_volterra model instance")
     from scipy.integrate import solve_ivp
 
-    probe_end = min(t_max, 80.0)
-    probe = reference_integrate(
-        model, probe_end, 1e-10, grid=np.linspace(0.0, probe_end, 3201)
-    )
-    y = probe.states[:, 1]
-    mid = 0.5 * (float(y.min()) + float(y.max()))
+    params = model.params
+    level = params["a"] / params["b"]
+    x0, y0 = (float(v) for v in model.initial_state)
+    if (x0, y0) == (params["c"] / params["d"], level):
+        raise ValueError("start is the stationary center; there is no orbit")
 
     def crossing(t, u):
-        return u[1] - mid
+        return u[1] - level
 
     crossing.direction = 1.0
+    crossing.terminal = 2
     sol = solve_ivp(
         lambda t, u: model.field.evaluate(u),
         (0.0, t_max),
@@ -96,6 +111,14 @@ def lv_orbit_period(model: ModelInstance, t_max: float = 200.0) -> float:
     if len(events) < 2:
         raise RuntimeError("could not detect an orbital period")
     return float(events[1] - events[0])
+
+
+def lv_closed_orbit(model: ModelInstance, tol: float = 1e-10) -> tuple[float, Trajectory]:
+    """The period and the reference orbit sampled at 1200 uniform times
+    over 0.999 of one period (just short of closing on the start)."""
+    period = lv_orbit_period(model)
+    grid = np.linspace(0.0, 0.999 * period, 1200)
+    return period, reference_integrate(model, grid[-1], tol, grid=grid)
 
 
 def _case_crash():
@@ -149,9 +172,7 @@ def _fig2(out_dir: Path, fmt: str) -> list[Path]:
     # phase plane: the true orbit is a closed curve; the series polyline
     # crosses itself, which no autonomous planar trajectory can do
     model = _case_orbit()
-    period = lv_orbit_period(model)
-    orbit_grid = np.linspace(0.0, 0.999 * period, 1200)
-    orbit = reference_integrate(model, orbit_grid[-1], 1e-10, grid=orbit_grid)
+    period, orbit = lv_closed_orbit(model)
     series_grid = np.linspace(0.0, 6.0, 601)
     ser = sample_series(generate_taylor_solution(model, 5), series_grid)
     files = []
@@ -159,7 +180,7 @@ def _fig2(out_dir: Path, fmt: str) -> list[Path]:
         files.append(write_csv(
             out_dir / "fig2_orbit_exact.csv",
             ["t", "x", "y"],
-            np.column_stack([orbit_grid, orbit.states]),
+            np.column_stack([orbit.times, orbit.states]),
             meta={"figure": "closed phase-plane orbit (one period)",
                   "params": "a=b=c=d=1, start (3, 2)", "period": f"{period:.12g}"},
         ))

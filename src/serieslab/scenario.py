@@ -28,7 +28,7 @@ from .convergence import (
 )
 from .csvout import write_csv
 from .exact import lv_conserved, riccati_exact, sir_endpoints, sir_y_of_x
-from .figures import DEEP_DECAY_ATOL, lv_orbit_period, polyline_self_intersects
+from .figures import DEEP_DECAY_ATOL, lv_closed_orbit, polyline_self_intersects
 from .integrators import multistage_taylor, reference_integrate, sample_series
 from .models import make_model
 from .report import (
@@ -595,10 +595,7 @@ class _Runner:
                 "series_curve_self_intersects",
                 polyline_self_intersects(self.series_tr.states), True,
                 "series phase curves cross themselves beyond the radius")]
-            period = lv_orbit_period(self.model)
-            orbit_grid = np.linspace(0.0, 0.999 * period, 1200)
-            orbit = reference_integrate(self.model, orbit_grid[-1], self.tol,
-                                        grid=orbit_grid)
+            _, orbit = lv_closed_orbit(self.model, self.tol)
             out.append(bool_row(
                 "exact_orbit_self_intersects",
                 polyline_self_intersects(orbit.states), False,

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import read_csv
 
 from serieslab.figures import (
+    lv_closed_orbit,
     lv_orbit_period,
     polyline_self_intersects,
     reproduce_figure,
@@ -37,9 +42,130 @@ def test_self_intersection_input_validation():
         polyline_self_intersects(np.zeros((4, 3)))
 
 
+def brute_force_self_intersects(points) -> bool:
+    """All-pairs oracle: every non-adjacent pair gets the exact
+    cross-product test, with no bounding-box pruning."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0] - 1
+    if n < 3:
+        return False
+    p = pts[:-1]
+    q = pts[1:]
+    d = q - p
+
+    def cross(v, w):
+        return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+
+    for i in range(0, n, 64):
+        block = slice(i, min(i + 64, n))
+        pi = p[block, None, :]
+        di = d[block, None, :]
+        d1 = cross(d[None, :, :], pi - p[None, :, :])
+        d2 = cross(d[None, :, :], pi + di - p[None, :, :])
+        d3 = cross(di, p[None, :, :] - pi)
+        d4 = cross(di, q[None, :, :] - pi)
+        hits = (d1 * d2 < 0) & (d3 * d4 < 0)
+        idx_i = np.arange(i, min(i + 64, n))[:, None]
+        idx_j = np.arange(n)[None, :]
+        hits &= idx_j >= idx_i + 2
+        if np.any(hits):
+            return True
+    return False
+
+
+# Lattice coordinates (multiples of 1/8, below 2**8 in size) make every
+# cross product exact, so touching and collinear segments give exact zeros
+# in both routines.  Rounding noise on near-collinear segments far apart
+# could fool the all-pairs routine into a crossing that pruning never
+# tests; the float circles have no such pairs.
+lattice_steps = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=399)
+
+
+@st.composite
+def polylines(draw):
+    kind = draw(st.sampled_from(
+        ["walk", "monotone", "monotone_return", "circle", "collinear", "grid"]))
+    n = draw(st.integers(4, 400))
+    if kind == "walk":
+        steps = [(0, 0)] + draw(lattice_steps)
+        return np.cumsum(np.array(steps, dtype=float), axis=0) / 8.0
+    if kind in ("monotone", "monotone_return"):
+        # strictly increasing x: a graph of a function never crosses itself,
+        # so every block gets scanned; a final jump back may cross any block
+        dx = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+        y = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        pts = np.column_stack([np.concatenate([[0], np.cumsum(dx)]), y]) / 8.0
+        if kind == "monotone_return":
+            back = draw(st.tuples(st.integers(0, int(pts[-1, 0] * 8)),
+                                  st.integers(-8, 8)))
+            pts = np.vstack([pts, np.array(back, dtype=float) / 8.0])
+        return pts
+    if kind == "circle":
+        # closed (end on the start), almost closed, or wound past the start
+        turns = draw(st.sampled_from([1.0, 0.99, 1.0 - 1.0 / n, 1.3]))
+        theta = np.linspace(0.0, 2 * np.pi * turns, n)
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    if kind == "collinear":
+        # back and forth along one lattice line: overlaps, no proper crossing
+        k = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+        direction = np.array(draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)])))
+        return np.outer(k, direction) / 8.0
+    # a few grid nodes revisited many times: many shared vertices and touches
+    cells = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          min_size=n, max_size=n))
+    return np.array(cells, dtype=float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polylines())
+def test_pruned_self_intersection_matches_brute_force(points):
+    assert polyline_self_intersects(points) == brute_force_self_intersects(points)
+
+
+def test_self_intersection_finds_a_crossing_many_blocks_back():
+    # a long simple graph, a detour below it, then one segment up across
+    # its first block
+    x = np.arange(300.0)
+    pts = np.column_stack([x, np.sin(x)])
+    pts = np.vstack([pts, [[299.0, -5.0], [2.5, -5.0], [2.5, 5.0]]])
+    assert polyline_self_intersects(pts)
+    assert brute_force_self_intersects(pts)
+
+
 def test_orbit_period():
     period = lv_orbit_period(lv_case_v())
-    assert abs(period - 7.6030203) < 1e-3
+    assert abs(period - 7.603020304423) < 1e-9
+
+
+@pytest.mark.parametrize("rates, start", [
+    ((2.0, 0.5, 0.3, 1.7), (0.1, 1.0)),   # skewed rates, wide orbit
+    ((1.0, 1.0, 1.0, 1.0), (3.0, 1.0)),   # on the level y = a/b, moving up
+    ((1.0, 1.0, 1.0, 1.0), (0.5, 1.0)),   # on the level y = a/b, moving down
+])
+def test_orbit_period_returns_to_the_start(rates, start):
+    a, b, c, d = rates
+    model = make_model("lotka_volterra", dict(a=a, b=b, c=c, d=d), list(start))
+    period = lv_orbit_period(model)
+    end = reference_integrate(model, period, 1e-12, atol=1e-14).states[-1]
+    assert np.max(np.abs(end - np.array(start))) < 1e-9
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_orbit_period_near_the_center_tends_to_linear_period(eps):
+    # small orbits around the center (c/d, a/b) have period 2*pi/sqrt(a*c),
+    # up to a relative correction of order eps**2
+    a, b, c, d = 2.0, 1.0, 0.5, 1.0
+    model = make_model("lotka_volterra", dict(a=a, b=b, c=c, d=d),
+                       [c / d * (1 + eps), a / b])
+    linear = 2 * math.pi / math.sqrt(a * c)
+    assert abs(lv_orbit_period(model) - linear) / linear < eps**2
+
+
+def test_orbit_period_rejects_the_center():
+    model = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [1.0, 1.0])
+    with pytest.raises(ValueError, match="stationary center"):
+        lv_orbit_period(model)
 
 
 def test_orbit_period_requires_lv():
@@ -55,10 +181,9 @@ def test_series_phase_curve_crosses_itself():
 
 
 def test_exact_orbit_does_not_cross_itself():
-    model = lv_case_v()
-    period = lv_orbit_period(model)
-    grid = np.linspace(0.0, 0.999 * period, 1200)
-    orbit = reference_integrate(model, grid[-1], 1e-10, grid=grid)
+    period, orbit = lv_closed_orbit(lv_case_v())
+    assert orbit.times.size == 1200
+    assert orbit.times[-1] == pytest.approx(0.999 * period, rel=1e-15)
     assert not polyline_self_intersects(orbit.states)
 
 

@@ -1,4 +1,5 @@
 from serieslab.cli import main
+from serieslab.figures import FIGURE_IDS, reproduce_figure
 from serieslab.scenario import (
     ScenarioConfig,
     known_quantities,
@@ -149,14 +150,27 @@ def test_run_minimal_scenario_writes_artifacts(tmp_path):
     assert report.all_passed
 
 
+def assert_same_bytes(first_dir, second_dir):
+    names = sorted(path.name for path in first_dir.iterdir())
+    assert names == sorted(path.name for path in second_dir.iterdir())
+    assert names
+    for name in names:
+        assert (first_dir / name).read_bytes() == (second_dir / name).read_bytes(), name
+
+
 def test_run_scenario_is_deterministic(tmp_path):
-    config = load_preset("sir-slow")
-    run_scenario(config, tmp_path / "a", fmt="csv", tol=1e-10)
-    run_scenario(config, tmp_path / "b", fmt="csv", tol=1e-10)
-    for name in ("series.csv", "reference.csv", "report.csv", "report.txt"):
-        first = (tmp_path / "a" / "sir-slow" / name).read_bytes()
-        second = (tmp_path / "b" / "sir-slow" / name).read_bytes()
-        assert first == second
+    for name in preset_names():
+        config = load_preset(name)
+        run_scenario(config, tmp_path / "a", fmt="both", tol=1e-10)
+        run_scenario(config, tmp_path / "b", fmt="both", tol=1e-10)
+        assert_same_bytes(tmp_path / "a" / name, tmp_path / "b" / name)
+
+
+def test_figures_are_deterministic(tmp_path):
+    for fig_id in FIGURE_IDS:
+        reproduce_figure(fig_id, tmp_path / "a" / fig_id, fmt="both")
+        reproduce_figure(fig_id, tmp_path / "b" / fig_id, fmt="both")
+        assert_same_bytes(tmp_path / "a" / fig_id, tmp_path / "b" / fig_id)
 
 
 def test_run_scenario_failures_become_rows(tmp_path):
