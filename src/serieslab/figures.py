@@ -25,12 +25,18 @@ FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4")
 #: of orders of magnitude, which only relative error control can track
 DEEP_DECAY_ATOL = 1e-140
 
+#: an orientation (a cross product of point differences) has a side only
+#: beyond this share of its error scale (see polyline_self_intersects)
+ORIENTATION_EPS = 8 * np.finfo(float).eps
+
 
 def polyline_self_intersects(points) -> bool:
     """True if any two non-adjacent segments of the polyline cross properly.
 
     Shared endpoints and tangential touches do not count, so a closed or
-    almost-closed simple curve stays negative.  Segments are tested in
+    almost-closed simple curve stays negative.  Nor do orientations within
+    the rounding error of the points and of the arithmetic, so points
+    rounded off one straight line never cross.  Segments are tested in
     blocks of 64 against the later segments whose bounding boxes meet the
     block's box (a proper crossing needs that overlap), so a curve that
     does not fold back on itself costs close to linear time; the worst
@@ -48,8 +54,17 @@ def polyline_self_intersects(points) -> bool:
     lo = np.minimum(p, q)
     hi = np.maximum(p, q)
 
-    def cross(v, w):
-        return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+    # The points carry rounding of their own, up to eps/2 of the largest
+    # coordinate m, so a difference of two is off by at most 2 eps m per
+    # coordinate, and the cross product of two differences v, w, with its
+    # own rounding, by at most 4 eps m (|v|_1 + |w|_1).  An orientation
+    # inside twice that bound is taken as 0: no side.
+    slack = ORIENTATION_EPS * float(np.max(np.abs(pts)))
+
+    def orientation(v, w):
+        c = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+        size = np.abs(v).sum(axis=-1) + np.abs(w).sum(axis=-1)
+        return np.where(np.abs(c) > slack * size, c, 0.0)
 
     for i in range(0, n, 64):
         block = slice(i, min(i + 64, n))
@@ -64,10 +79,10 @@ def polyline_self_intersects(points) -> bool:
         di = d[block, None, :]
         pj = p[j][None, :, :]
         dj = d[j][None, :, :]
-        d1 = cross(dj, pi - pj)
-        d2 = cross(dj, pi + di - pj)
-        d3 = cross(di, pj - pi)
-        d4 = cross(di, q[j][None, :, :] - pi)
+        d1 = orientation(dj, pi - pj)
+        d2 = orientation(dj, q[block, None, :] - pj)
+        d3 = orientation(di, pj - pi)
+        d4 = orientation(di, q[j][None, :, :] - pi)
         hits = (d1 * d2 < 0) & (d3 * d4 < 0)
         hits &= j[None, :] >= np.arange(i, block.stop)[:, None] + 2
         if np.any(hits):
@@ -91,6 +106,8 @@ def lv_orbit_period(model: ModelInstance, t_max: float = 200.0) -> float:
     x0, y0 = (float(v) for v in model.initial_state)
     if (x0, y0) == (params["c"] / params["d"], level):
         raise ValueError("start is the stationary center; there is no orbit")
+    if x0 == 0.0 or y0 == 0.0:
+        raise ValueError("start on an axis; the solution never circles the center")
 
     def crossing(t, u):
         return u[1] - level

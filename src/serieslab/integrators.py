@@ -92,30 +92,33 @@ def multistage_taylor(
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     times = [0.0]
-    states = [np.array(model.initial_state, dtype=float)]
+    states = [model.initial_state.tolist()]
     t = 0.0
-    state = states[0]
     index = 0
     while t < t_end:
         dt = min(step, t_end - t)
-        coef = taylor_coefficients(model.field, state, order)
-        nxt = np.zeros(model.field.dimension)
-        for k in range(order, -1, -1):
-            nxt = nxt * dt + coef[:, k]
-        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > DIVERGENCE_LIMIT:
+        coef = taylor_coefficients(model.field, states[-1], order)
+        nxt = []
+        for row in coef.tolist():
+            # Horner from 0.0, so a -0.0 start steps to +0.0
+            value = 0.0
+            for c in reversed(row):
+                value = value * dt + c
+            nxt.append(value)
+        # the comparison is False for NaN and inf as well
+        if not all(abs(value) <= DIVERGENCE_LIMIT for value in nxt):
             raise DivergenceError(
                 f"state diverged at stage {index} (t={t + dt:.6g}); "
                 "the step likely exceeds the local convergence radius",
                 step_index=index,
             )
         t = t + dt
-        state = nxt
         times.append(t)
-        states.append(state)
+        states.append(nxt)
         index += 1
     return Trajectory(
         np.array(times),
-        np.vstack(states),
+        np.array(states),
         "multistage",
         meta={"order": order, "step": step, "t_end": t_end},
     )

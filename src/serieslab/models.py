@@ -48,6 +48,33 @@ class Monomial:
 
 
 @dataclass(frozen=True)
+class ProductPlan:
+    """A polynomial field lowered to products of two operands.
+
+    Operands are numbered in the order they become known: the state
+    variables 0..dimension-1, then the constant 1 at ``dimension``, then
+    one operand per entry of ``rows``.  ``rows[r] = (left, right)`` is
+    operand ``dimension + 1 + r``, the product of two earlier operands.
+    ``terms[i]`` holds equation i's ``(coefficient, operand)`` pairs in
+    monomial order.
+    """
+
+    rows: tuple[tuple[int, int], ...]
+    terms: tuple[tuple[tuple[float, int], ...], ...]
+
+    def combine(self, values) -> list[float]:
+        """Each equation's sum of coefficient * operand value, added in
+        monomial order starting from 0.0, given every operand's value."""
+        out = []
+        for terms in self.terms:
+            acc = 0.0
+            for coefficient, operand in terms:
+                acc += coefficient * values[operand]
+            out.append(acc)
+        return out
+
+
+@dataclass(frozen=True)
 class PolynomialVectorField:
     """An autonomous system u' = P(u) with polynomial components.
 
@@ -74,36 +101,53 @@ class PolynomialVectorField:
                     )
 
     @cached_property
-    def _packed(self):
-        # flat (coefficients, exponent matrix, equation index) arrays so a
-        # single vectorised pass evaluates the whole field
-        coeffs, expo, eq_idx = [], [], []
-        for i, eq in enumerate(self.equations):
+    def plan(self) -> ProductPlan:
+        """The field lowered, once, to a ProductPlan.
+
+        A monomial's factors are taken variable by variable in exponent
+        order and multiplied left to right, so x^2*y is the chain
+        (x*x)*y; chains that share a prefix share its rows.
+        """
+        one = self.dimension
+        rows: list[tuple[int, int]] = []
+        operand_of: dict[tuple[int, ...], int] = {}
+        terms = []
+        for eq in self.equations:
+            eq_terms = []
             for mono in eq:
-                coeffs.append(mono.coefficient)
-                expo.append(mono.exponents)
-                eq_idx.append(i)
-        return (
-            np.asarray(coeffs, dtype=float),
-            np.asarray(expo, dtype=np.int64).reshape(len(coeffs), self.dimension),
-            np.asarray(eq_idx, dtype=np.intp),
-        )
+                factors = tuple(
+                    j for j, e in enumerate(mono.exponents) for _ in range(e)
+                )
+                operand = factors[0] if factors else one
+                for n in range(2, len(factors) + 1):
+                    prefix = factors[:n]
+                    if prefix not in operand_of:
+                        operand_of[prefix] = one + 1 + len(rows)
+                        rows.append((operand, factors[n - 1]))
+                    operand = operand_of[prefix]
+                eq_terms.append((mono.coefficient, operand))
+            terms.append(tuple(eq_terms))
+        return ProductPlan(tuple(rows), tuple(terms))
 
     def evaluate(self, state) -> np.ndarray:
         """Evaluate P(state) componentwise.
 
         Accepts any real vector of the right length; no sign constraint is
         imposed, since trajectories produced by truncated series can and do
-        leave the physically meaningful region.
+        leave the physically meaningful region.  Powers are exact products
+        (y**2 is y*y), so the result does not depend on the platform's pow.
         """
         state = np.asarray(state, dtype=float)
         if state.shape != (self.dimension,):
             raise ValueError(
                 f"state has shape {state.shape}, expected ({self.dimension},)"
             )
-        coeffs, expo, eq_idx = self._packed
-        terms = coeffs * np.prod(state[np.newaxis, :] ** expo, axis=1)
-        return np.bincount(eq_idx, weights=terms, minlength=self.dimension)
+        plan = self.plan
+        values = state.tolist()
+        values.append(1.0)
+        for left, right in plan.rows:
+            values.append(values[left] * values[right])
+        return np.array(plan.combine(values))
 
 
 @dataclass(frozen=True)

@@ -106,26 +106,21 @@ def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.n
     state = np.asarray(state, dtype=float)
     if state.shape != (field.dimension,):
         raise ValueError("state length must equal the field dimension")
-    coef = np.zeros((field.dimension, order + 1))
-    coef[:, 0] = state
+    plan = field.plan
+    dim = field.dimension
+    # one row per operand of the plan: the state variables, the constant
+    # 1 (the series 1, 0, 0, ..., so a constant monomial adds only at
+    # k = 0), then the product rows
+    w = np.zeros((dim + 1 + len(plan.rows), order + 1))
+    w[:dim, 0] = state
+    w[dim, 0] = 1.0
     for k in range(order):
-        for i, equation in enumerate(field.equations):
-            acc = 0.0
-            for mono in equation:
-                prod = None
-                for j, e in enumerate(mono.exponents):
-                    for _ in range(e):
-                        if prod is None:
-                            prod = coef[j, : k + 1]
-                        else:
-                            prod = np.convolve(prod, coef[j, : k + 1])[: k + 1]
-                if prod is None:
-                    # constant monomial: contributes to the k = 0 term only
-                    acc += mono.coefficient if k == 0 else 0.0
-                else:
-                    acc += mono.coefficient * prod[k]
-            coef[i, k + 1] = acc / (k + 1)
-    return coef
+        for row, (left, right) in enumerate(plan.rows, start=dim + 1):
+            # coefficient k of the Cauchy product; the valid-mode correlate
+            # adds in the same order as np.convolve does for that entry
+            w[row, k] = np.correlate(w[left, : k + 1], w[right, k::-1])[0]
+        w[:dim, k + 1] = [acc / (k + 1) for acc in plan.combine(w[:, k].tolist())]
+    return w[:dim]
 
 
 def generate_taylor_solution(model: ModelInstance, order: int) -> SeriesSolution:

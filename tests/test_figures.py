@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import read_csv
 
 from serieslab.figures import (
+    ORIENTATION_EPS,
     lv_closed_orbit,
     lv_orbit_period,
     polyline_self_intersects,
@@ -37,14 +39,26 @@ def test_self_intersection_negative_cases():
     assert not polyline_self_intersects(square)
 
 
+def test_points_rounded_off_one_line_never_cross():
+    # back-and-forth walks along y = 7x/3: rounding 7x/3 puts every point a
+    # little off the line, by more than the cross products' own rounding
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-100.0, 100.0) + np.cumsum(rng.uniform(-1.0, 1.0, 80))
+        assert not polyline_self_intersects(np.column_stack([x, 7.0 * x / 3.0]))
+
+
 def test_self_intersection_input_validation():
     with pytest.raises(ValueError):
         polyline_self_intersects(np.zeros((4, 3)))
 
 
-def brute_force_self_intersects(points) -> bool:
-    """All-pairs oracle: every non-adjacent pair gets the exact
-    cross-product test, with no bounding-box pruning."""
+def brute_force_self_intersects(points, allowance=ORIENTATION_EPS) -> bool:
+    """All-pairs oracle: every non-adjacent pair gets the cross-product
+    test, with no bounding-box pruning.  An orientation within ``allowance``
+    times max|coordinate| times (|v|_1 + |w|_1) has no side; with
+    ``allowance=0`` this is the exact sign test, which rounding noise on
+    near-collinear segments can fool."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0] - 1
     if n < 3:
@@ -52,16 +66,19 @@ def brute_force_self_intersects(points) -> bool:
     p = pts[:-1]
     q = pts[1:]
     d = q - p
+    slack = allowance * np.max(np.abs(pts))
 
     def cross(v, w):
-        return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+        c = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+        size = np.abs(v).sum(axis=-1) + np.abs(w).sum(axis=-1)
+        return np.where(np.abs(c) > slack * size, c, 0.0)
 
     for i in range(0, n, 64):
         block = slice(i, min(i + 64, n))
         pi = p[block, None, :]
         di = d[block, None, :]
         d1 = cross(d[None, :, :], pi - p[None, :, :])
-        d2 = cross(d[None, :, :], pi + di - p[None, :, :])
+        d2 = cross(d[None, :, :], q[block, None, :] - p[None, :, :])
         d3 = cross(di, p[None, :, :] - pi)
         d4 = cross(di, q[None, :, :] - pi)
         hits = (d1 * d2 < 0) & (d3 * d4 < 0)
@@ -75,9 +92,11 @@ def brute_force_self_intersects(points) -> bool:
 
 # Lattice coordinates (multiples of 1/8, below 2**8 in size) make every
 # cross product exact, so touching and collinear segments give exact zeros
-# in both routines.  Rounding noise on near-collinear segments far apart
-# could fool the all-pairs routine into a crossing that pruning never
-# tests; the float circles have no such pairs.
+# and the rounding allowance never decides: there the pruned test must
+# also agree with the exact sign test.  The float circles need the
+# allowance: a circle wound past its start whose later vertices fall on
+# earlier ones retraces its chords, which the exact sign test can read as
+# crossings.
 lattice_steps = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=399)
 
@@ -120,7 +139,18 @@ def polylines(draw):
 @settings(max_examples=150, deadline=None)
 @given(polylines())
 def test_pruned_self_intersection_matches_brute_force(points):
-    assert polyline_self_intersects(points) == brute_force_self_intersects(points)
+    found = polyline_self_intersects(points)
+    assert found == brute_force_self_intersects(points)
+    if np.array_equal(points * 8.0, np.round(points * 8.0)):
+        assert found == brute_force_self_intersects(points, allowance=0.0)
+
+
+def test_retraced_circle_does_not_cross_itself():
+    # 1.3 turns in 13 equal steps: vertices 10..13 land on vertices 0..3,
+    # so the last chords retrace the first ones
+    theta = np.linspace(0.0, 2 * np.pi * 1.3, 14)
+    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    assert not polyline_self_intersects(pts)
 
 
 def test_self_intersection_finds_a_crossing_many_blocks_back():
@@ -165,6 +195,17 @@ def test_orbit_period_near_the_center_tends_to_linear_period(eps):
 def test_orbit_period_rejects_the_center():
     model = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [1.0, 1.0])
     with pytest.raises(ValueError, match="stationary center"):
+        lv_orbit_period(model)
+
+
+@pytest.mark.parametrize("start", [(3.0, 0.0), (0.0, 2.0), (0.0, 0.0)])
+def test_orbit_period_rejects_an_axis_start_before_solving(monkeypatch, start):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an axis start must be rejected before any solve")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", no_solve)
+    model = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), list(start))
+    with pytest.raises(ValueError, match="on an axis"):
         lv_orbit_period(model)
 
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from serieslab.exact import lv_conserved, riccati_exact, sir_endpoints
 from serieslab.integrators import (
+    DIVERGENCE_LIMIT,
     DivergenceError,
     IntegrationError,
     Trajectory,
@@ -10,8 +13,14 @@ from serieslab.integrators import (
     reference_integrate,
     sample_series,
 )
-from serieslab.models import build_riccati, make_model
-from serieslab.series import eval_series, generate_taylor_solution
+from serieslab.models import (
+    ModelInstance,
+    Monomial,
+    PolynomialVectorField,
+    build_riccati,
+    make_model,
+)
+from serieslab.series import eval_series, generate_taylor_solution, taylor_coefficients
 
 
 def lv_case_v():
@@ -214,3 +223,87 @@ def test_sir_population_constant_all_provenances():
     n_steps = multi_tr.times.size - 1
     drift = np.max(np.abs(multi_tr.states.sum(axis=1) - total))
     assert drift < 1e-9 * n_steps
+
+
+# -- the float stage loop against the array stage loop ---------------------------
+
+def reference_stages(model, order, step, t_end):
+    """The stage loop as it ran on numpy arrays before the float Horner
+    step: the oracle.  Returns (times, states, None), or (times, states,
+    (step_index, state)) where the guard would have raised."""
+    times = [0.0]
+    states = [np.array(model.initial_state, dtype=float)]
+    t = 0.0
+    state = states[0]
+    index = 0
+    while t < t_end:
+        dt = min(step, t_end - t)
+        coef = taylor_coefficients(model.field, state, order)
+        nxt = np.zeros(model.field.dimension)
+        for k in range(order, -1, -1):
+            nxt = nxt * dt + coef[:, k]
+        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > DIVERGENCE_LIMIT:
+            return np.array(times), np.vstack(states), (index, nxt)
+        t = t + dt
+        state = nxt
+        times.append(t)
+        states.append(state)
+        index += 1
+    return np.array(times), np.vstack(states), None
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+@pytest.mark.parametrize("model_fn, step, t_end", [
+    (lambda: build_riccati(0.0), 0.2, 6.0),
+    (lambda: build_riccati(3.7), 0.05, 2.0),
+    (lv_case_v, 0.1, 8.0),
+    (lambda: make_model("lotka_volterra", dict(a=2.0, b=0.5, c=0.3, d=1.7),
+                        [0.1, 1.0]), 0.07, 5.0),
+    (sir_slow, 0.25, 9.0),
+    (lambda: make_model("sir", dict(beta=1.0, gamma=1.0), [20.0, 4.0, 10.0]),
+     0.01, 1.0),
+], ids=["riccati0", "riccati3.7", "lv_case_v", "lv_skewed", "sir_slow", "sir_fast"])
+def test_stages_are_bit_identical_to_the_array_loop(model_fn, step, t_end, order):
+    model = model_fn()
+    tr = multistage_taylor(model, order, step, t_end)
+    times, states, failure = reference_stages(model, order, step, t_end)
+    assert failure is None
+    assert np.array_equal(tr.times, times)
+    assert tr.states.tobytes() == states.tobytes()
+
+
+def test_stage_from_a_negative_zero_state():
+    # -0.0 stays in the start row; Horner from 0.0 makes every later state
+    # +0.0, as the array loop did
+    model = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [2.0, -0.0])
+    tr = multistage_taylor(model, 5, 0.1, 1.0)
+    times, states, failure = reference_stages(model, 5, 0.1, 1.0)
+    assert failure is None
+    assert tr.states.tobytes() == states.tobytes()
+    assert np.signbit(tr.states[0, 1]) and not np.any(np.signbit(tr.states[1:, 1]))
+
+
+def scaled_quadratic(start, cubic):
+    """u' = 1e30 u^2 (- 1e20 u^3): from start 2.8e-26 the first stage
+    lands near 1e10, and the second overflows."""
+    monos = [Monomial(1e30, (2,))] + ([Monomial(-1e20, (3,))] if cubic else [])
+    return ModelInstance(PolynomialVectorField(1, (tuple(monos),)), {},
+                         np.array([start]), "scaled")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model, order, step, kind", [
+    (build_riccati(-1.0), 5, 0.1, "over the limit"),
+    (scaled_quadratic(2.8e-26, cubic=False), 8, 1.0, "inf"),
+    (scaled_quadratic(2.8e-26, cubic=True), 8, 1.0, "nan"),
+    (build_riccati(1e100), 5, 0.1, "nan"),
+], ids=["over_limit", "inf", "nan", "nan_first_stage"])
+def test_divergence_guard_stops_where_the_array_loop_did(model, order, step, kind):
+    _, _, failure = reference_stages(model, order, step, 10.0)
+    index, state = failure
+    value = float(state[0])
+    assert {"over the limit": math.isfinite(value) and abs(value) > DIVERGENCE_LIMIT,
+            "inf": math.isinf(value), "nan": math.isnan(value)}[kind]
+    with pytest.raises(DivergenceError) as info:
+        multistage_taylor(model, order, step, 10.0)
+    assert info.value.step_index == index

@@ -40,6 +40,14 @@ def test_riccati_direct_substitution():
     assert model.field.evaluate([5.0])[0] == 2 * 5 - 25 + 1
 
 
+def test_riccati_evaluate_is_the_sequential_float_sum():
+    # y**2 is y*y, not a platform pow that may be an ulp off
+    field = build_riccati(0.0).field
+    rng = np.random.default_rng(11)
+    for y in rng.uniform(-50.0, 50.0, 10_000).tolist():
+        assert field.evaluate([y])[0] == ((0.0 + 1.0) + 2.0 * y) + (-1.0 * (y * y))
+
+
 def test_riccati_rejects_non_finite():
     with pytest.raises(ValueError):
         build_riccati(float("nan"))

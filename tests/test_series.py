@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from serieslab.convergence import estimate_radius
 from serieslab.exact import riccati_exact
 from serieslab.integrators import reference_integrate
-from serieslab.models import build_riccati, make_model
+from serieslab.models import Monomial, PolynomialVectorField, build_riccati, make_model
 from serieslab.series import (
     TruncatedSeries,
     eval_series,
@@ -254,3 +254,111 @@ def test_sir_series_conserves_population_per_order():
     coeffs = np.vstack([comp.coefficients for comp in sol.components])
     sums = coeffs[:, 1:].sum(axis=0)
     assert np.max(np.abs(sums)) < 1e-12
+
+
+# -- the product plan against the nested-loop recursion ----------------------
+
+def reference_taylor_coefficients(field, state, order):
+    """The recursion as it ran before the product plan: every monomial's
+    exponent tuple walked at every order, one full np.convolve per extra
+    factor.  Kept as the oracle for the plan."""
+    state = np.asarray(state, dtype=float)
+    coef = np.zeros((field.dimension, order + 1))
+    coef[:, 0] = state
+    for k in range(order):
+        for i, equation in enumerate(field.equations):
+            acc = 0.0
+            for mono in equation:
+                prod = None
+                for j, e in enumerate(mono.exponents):
+                    for _ in range(e):
+                        if prod is None:
+                            prod = coef[j, : k + 1]
+                        else:
+                            prod = np.convolve(prod, coef[j, : k + 1])[: k + 1]
+                if prod is None:
+                    acc += mono.coefficient if k == 0 else 0.0
+                else:
+                    acc += mono.coefficient * prod[k]
+            coef[i, k + 1] = acc / (k + 1)
+    return coef
+
+
+def _log_uniform(rng, lo, hi):
+    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+def seeded_model(family, seed):
+    """Rates and starts drawn as the benchmark draws them: Riccati starts
+    in [-0.3, 4], predator-prey rates log-uniform in [0.1, 10] with starts
+    within a factor of the center, epidemic rates log-uniform in [0.01, 1]
+    with a basic reproduction number in [0.5, 4]."""
+    rng = np.random.default_rng(seed)
+    if family == "riccati":
+        return build_riccati(float(rng.uniform(-0.3, 4.0)))
+    if family == "lotka_volterra":
+        a, b, c, d = (_log_uniform(rng, 0.1, 10.0) for _ in range(4))
+        start = [c / d * float(rng.uniform(0.3, 2.5)), a / b * float(rng.uniform(0.3, 2.5))]
+        return make_model(family, dict(a=a, b=b, c=c, d=d), start)
+    beta = _log_uniform(rng, 0.01, 1.0)
+    gamma = _log_uniform(rng, 0.01, 1.0)
+    x0 = gamma / beta * float(rng.uniform(0.5, 4.0))
+    start = [x0, x0 * float(rng.uniform(0.05, 0.5)), x0 * float(rng.uniform(0.0, 0.5))]
+    return make_model(family, dict(beta=beta, gamma=gamma), start)
+
+
+@given(st.sampled_from(["riccati", "lotka_volterra", "sir"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 120))
+@settings(max_examples=80, deadline=None)
+def test_plan_recursion_is_bit_identical_to_nested_loops(family, seed, order):
+    model = seeded_model(family, seed)
+    got = taylor_coefficients(model.field, model.initial_state, order)
+    want = reference_taylor_coefficients(model.field, model.initial_state, order)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def cubic_field():
+    """Constant terms and cubic monomials whose chains share prefixes:
+    x^3 and x^2*y share x*x, and x*y^2 shares x*y with x*y."""
+    return PolynomialVectorField(2, (
+        (Monomial(0.5, (0, 0)), Monomial(1.0, (3, 0)),
+         Monomial(-2.0, (2, 1)), Monomial(0.3, (0, 1))),
+        (Monomial(-1.5, (0, 0)), Monomial(0.7, (1, 2)),
+         Monomial(-0.4, (1, 1)), Monomial(1.1, (0, 3))),
+    ))
+
+
+def test_cubic_plan_shares_prefixes():
+    plan = cubic_field().plan
+    # operands: x=0, y=1, the constant 1 = 2, then the rows from 3 on
+    assert plan.rows == ((0, 0), (3, 0), (3, 1), (0, 1), (6, 1), (1, 1), (8, 1))
+    assert plan.terms == (
+        ((0.5, 2), (1.0, 4), (-2.0, 5), (0.3, 1)),
+        ((-1.5, 2), (0.7, 7), (-0.4, 6), (1.1, 9)),
+    )
+
+
+def test_cubic_field_with_constants_matches_both_oracles():
+    field = cubic_field()
+    state = [0.3, -0.2]
+    order = 8
+    got = taylor_coefficients(field, state, order)
+    # chained rows reuse a prefix computed at earlier orders instead of
+    # convolving it afresh, so rounding may differ by a few ulps
+    want = reference_taylor_coefficients(field, state, order)
+    eps = np.finfo(float).eps
+    for k in range(order + 1):
+        assert np.all(np.abs(got[:, k] - want[:, k]) <= 8 * eps * np.max(np.abs(want[:, k])))
+    # symbolic differentiation of a cubic field grows fast with the order
+    oracle = _sympy_taylor(field, state, 6)
+    scale = np.maximum(np.abs(oracle), 1e-30)
+    assert np.max(np.abs(got[:, :7] - oracle) / scale) < 1e-8
+
+
+@pytest.mark.parametrize("model_fn", [lv_case_v, sir_slow, lambda: build_riccati(0.0)],
+                         ids=["lotka_volterra", "sir", "riccati"])
+def test_builtin_plans_hold_one_product_row(model_fn):
+    # x*y appears in both predator-prey equations and in two epidemic
+    # equations, and is computed once; the Riccati row is y*y
+    assert len(model_fn().field.plan.rows) == 1
