@@ -62,6 +62,19 @@ class ProductPlan:
     rows: tuple[tuple[int, int], ...]
     terms: tuple[tuple[tuple[float, int], ...], ...]
 
+    @cached_property
+    def coefficients(self) -> tuple[float, ...]:
+        """Every term's coefficient, equation by equation in monomial order."""
+        return tuple(c for terms in self.terms for c, _ in terms)
+
+    @cached_property
+    def shape(self) -> tuple:
+        """Everything but the coefficients, as plain ints: (dimension,
+        rows, each equation's operands).  Fields of one family share it."""
+        rows = tuple((int(left), int(right)) for left, right in self.rows)
+        operands = tuple(tuple(int(op) for _, op in terms) for terms in self.terms)
+        return (len(self.terms), rows, operands)
+
     def combine(self, values) -> list[float]:
         """Each equation's sum of coefficient * operand value, added in
         monomial order starting from 0.0, given every operand's value."""

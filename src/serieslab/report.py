@@ -121,9 +121,10 @@ def bool_row(quantity: str, computed: bool, expected: bool, source: str) -> Repo
     )
 
 
-def error_row(quantity: str, message: str) -> ReportRow:
-    """A numeric failure surfaced as a failed row instead of a crash."""
+def error_row(quantity: str, error: Exception) -> ReportRow:
+    """A numeric failure surfaced as a failed row instead of a crash; the
+    source names the exception's class and message."""
     return ReportRow(
         quantity, float("nan"), None, None, False,
-        "computation must succeed", f"error: {message}",
+        "computation must succeed", f"error: {type(error).__name__}: {error}",
     )

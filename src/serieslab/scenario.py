@@ -29,7 +29,12 @@ from .convergence import (
 from .csvout import write_csv
 from .exact import lv_conserved, riccati_exact, sir_endpoints, sir_y_of_x
 from .figures import DEEP_DECAY_ATOL, lv_closed_orbit, polyline_self_intersects
-from .integrators import multistage_taylor, reference_integrate, sample_series
+from .integrators import (
+    Trajectory,
+    multistage_taylor,
+    reference_integrate,
+    sample_series,
+)
 from .models import make_model
 from .report import (
     ComparisonReport,
@@ -57,6 +62,10 @@ REQUIRED_PARAMS = {
 
 #: order used when a radius has to be estimated from coefficients
 ESTIMATE_ORDER = 30
+
+#: exceptions an analysis may end in that become an error row: divergence,
+#: blow-up, no bracket or no estimable radius, a failed solver
+NUMERICAL_FAILURES = (ArithmeticError, ValueError, RuntimeError)
 
 
 @dataclass(frozen=True)
@@ -318,6 +327,13 @@ def _lv_atol(model):
     return DEEP_DECAY_ATOL if model.label == "lotka_volterra" else None
 
 
+def _restrict(trajectory: Trajectory, times) -> Trajectory:
+    """The samples of ``trajectory`` at ``times``, each one of its times."""
+    index = np.searchsorted(trajectory.times, times)
+    return Trajectory(trajectory.times[index], trajectory.states[index],
+                      trajectory.provenance, dict(trajectory.meta))
+
+
 class _Runner:
     def __init__(self, config: ScenarioConfig, tol: float):
         self.config = config
@@ -331,22 +347,34 @@ class _Runner:
         self.series_solution = generate_taylor_solution(
             self.model, config.series_order)
         self.series_tr = sample_series(self.series_solution, self.grid)
-        self.reference_tr = reference_integrate(
-            self.model, config.t_end, tol, grid=self.grid,
-            atol=_lv_atol(self.model))
         self.multistage_tr = None
+        nodes = self.grid
         if config.multistage:
             self.multistage_tr = multistage_taylor(
                 self.model, config.multistage.order, config.multistage.step,
                 config.t_end)
+            nodes = np.union1d(self.grid, self.multistage_tr.times)
+        # one solve serves both grids: solve_ivp's steps do not depend on
+        # t_eval, so each grid reads the same dense output as a solve of
+        # its own would
+        solved = reference_integrate(
+            self.model, config.t_end, tol, grid=nodes,
+            atol=_lv_atol(self.model))
+        self.reference_tr = _restrict(solved, self.grid)
+        self.reference_nodes = None
+        if self.multistage_tr is not None:
+            self.reference_nodes = _restrict(solved, self.multistage_tr.times)
 
     # -- row helpers -----------------------------------------------------
 
     def guard(self, quantity, producer):
+        """Add the producer's rows, or one error row if it fails
+        numerically; a programming error (TypeError, KeyError, ...) is not
+        a result and propagates."""
         try:
             rows = producer()
-        except Exception as exc:
-            self.rows.append(error_row(quantity, str(exc)))
+        except NUMERICAL_FAILURES as exc:
+            self.rows.append(error_row(quantity, exc))
             return
         self.rows.extend(rows)
 
@@ -451,7 +479,7 @@ class _Runner:
                 try:
                     est = estimate_radius(comp).radius
                 except NotEstimableError as exc:
-                    out.append(error_row(quantity, str(exc)))
+                    out.append(error_row(quantity, exc))
                     continue
                 rv = self.refs.get(quantity)
                 if rv is not None:
@@ -606,11 +634,8 @@ class _Runner:
 
     def generic_multistage_rows(self):
         def rows():
-            ref_nodes = reference_integrate(
-                self.model, self.config.t_end, self.tol,
-                grid=self.multistage_tr.times, atol=_lv_atol(self.model))
             err = float(np.max(np.abs(
-                self.multistage_tr.states - ref_nodes.states)))
+                self.multistage_tr.states - self.reference_nodes.states)))
             return [self.with_threshold(
                 "multistage_vs_reference", err, 1e-4,
                 "piecewise series against the reference integrator")]

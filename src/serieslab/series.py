@@ -15,6 +15,8 @@ that perturbation-style iteration schemes reproduce term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -93,13 +95,77 @@ class SeriesSolution:
         return self.components[0].order
 
 
+#: highest order the straight-line kernel runs.  At order N a product
+#: coefficient adds at most N terms.  numpy's valid-mode correlate, which
+#: the loop for higher orders calls, adds up to 11 terms one by one from
+#: 0.0 as the kernel does, and 12 or more in another order, so only up to
+#: order 11 do the kernel and the loop round alike.
+KERNEL_MAX_ORDER = 11
+
+
+def _kernel_source(shape, order: int) -> str:
+    """Loop-free Python for the recursion of one plan shape and order.
+
+    Local ``u{operand}_{k}`` holds coefficient k of an operand; the
+    constant operand is the literal series 1.0, 0.0, 0.0, ...  Every sum
+    starts from 0.0 and adds in the loop's order (products by ascending
+    left index, equation terms in monomial order), so the result matches
+    the loop bit for bit, signed zeros included.  The source holds only
+    integer indices and fixed names; the coefficients arrive as an
+    argument.
+    """
+    dim, rows, operands = shape
+
+    def u(op: int, k: int) -> str:
+        if op == dim:
+            return "1.0" if k == 0 else "0.0"
+        return f"u{op}_{k}"
+
+    counter = count()
+    term_names = [[f"c{next(counter)}" for _ in ops] for ops in operands]
+    flat = [name for eq in term_names for name in eq]
+    lines = [
+        "def kernel(state, coefficients):",
+        f"    [{', '.join(flat)}] = coefficients",
+        f"    [{', '.join(u(i, 0) for i in range(dim))}] = state",
+    ]
+    for k in range(order):
+        for row, (left, right) in enumerate(rows, start=dim + 1):
+            products = "".join(
+                f" + {u(left, i)} * {u(right, k - i)}" for i in range(k + 1))
+            lines.append(f"    {u(row, k)} = 0.0{products}")
+        for i, (ops, eq_names) in enumerate(zip(operands, term_names)):
+            terms = "".join(f" + {c} * {u(op, k)}" for c, op in zip(eq_names, ops))
+            lines.append(f"    {u(i, k + 1)} = (0.0{terms}) / {float(k + 1)!r}")
+    series = ", ".join(
+        "(" + ", ".join(u(i, k) for k in range(order + 1)) + ",)"
+        for i in range(dim))
+    lines.append(f"    return ({series},)")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=128)
+def straight_line_kernel(shape, order: int):
+    """The compiled recursion for a ``ProductPlan.shape`` and an order:
+    ``kernel(state values, plan.coefficients)`` returns one tuple of
+    coefficients per component.  Cached, so one compile serves every
+    field of a family."""
+    namespace = {"__builtins__": {}}
+    code = compile(_kernel_source(shape, order), f"<taylor kernel, order {order}>",
+                   "exec")
+    exec(code, namespace)
+    return namespace["kernel"]
+
+
 def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.ndarray:
     """Taylor coefficients, shape (dimension, order+1), of the solution of
     u' = P(u) started at ``state``.
 
     Row i holds c_{i,0}..c_{i,N} with c_{i,0} = state[i].  Coefficient
     k+1 only consumes coefficients 0..k, so every returned value is the
-    exact Taylor coefficient up to floating-point rounding.
+    exact Taylor coefficient up to floating-point rounding.  Orders up to
+    ``KERNEL_MAX_ORDER`` run the plan's straight-line kernel, higher ones
+    a loop over orders and rows; both round every sum alike.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -107,6 +173,9 @@ def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.n
     if state.shape != (field.dimension,):
         raise ValueError("state length must equal the field dimension")
     plan = field.plan
+    if order <= KERNEL_MAX_ORDER:
+        kernel = straight_line_kernel(plan.shape, order)
+        return np.array(kernel(state.tolist(), plan.coefficients))
     dim = field.dimension
     # one row per operand of the plan: the state variables, the constant
     # 1 (the series 1, 0, 0, ..., so a constant monomial adds only at

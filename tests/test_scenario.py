@@ -1,7 +1,16 @@
+import hashlib
+
+import numpy as np
+import pytest
+
+import serieslab.scenario
 from serieslab.cli import main
 from serieslab.figures import FIGURE_IDS, reproduce_figure
+from serieslab.integrators import DivergenceError, reference_integrate
 from serieslab.scenario import (
     ScenarioConfig,
+    _lv_atol,
+    _Runner,
     known_quantities,
     load_preset,
     preset_names,
@@ -173,6 +182,131 @@ def test_figures_are_deterministic(tmp_path):
         assert_same_bytes(tmp_path / "a" / fig_id, tmp_path / "b" / fig_id)
 
 
+#: sha256 of the artifacts made only of order-5 series coefficients and
+#: elementwise numpy arithmetic, recorded before the straight-line kernel;
+#: no BLAS call enters them, so they hold on any platform
+GOLDEN_SHA256 = {
+    "lv-crash/series.csv": "870dbed8055d1d0675a223c63cf419699d490b5eafa91d0cd24b5604062761b0",
+    "lv-crash/series_coefficients.csv": "b9516fccd503f05f202c6a6e167ffe27e76898b54675d2b35caf877b79f0caf0",
+    "lv-orbit/series.csv": "c5860c1e6a4429f1cedd798ef0a0ae4ca7934a0421405ec42b2236b370a7d016",
+    "lv-orbit/series_coefficients.csv": "519415eed19277b5ad06b260b9628130bd2482aecc134a2c91d195cbb11066bf",
+    "riccati-five/multistage.csv": "2c8abcdcb609881928438c3f802bd24eb64710e4f9bac468287db4a672e4001d",
+    "riccati-five/series.csv": "97d25351163bedd69f6f2a5fcab48465bf51d65479d37efd7529ad626b5e389a",
+    "riccati-five/series_coefficients.csv": "b8703743bdf514a3a1aeb0a4cc00670ed3ffb890288efb175a97ff50bc79d40e",
+    "riccati-zero/multistage.csv": "96ce87c5a36767028b92f3afed8959052a983558f1a277c86f1a75df420bd490",
+    "riccati-zero/series.csv": "b79e1615310040c9db3fa51c08ab382c5555acb0803d3e0cf53aa6ae0d940643",
+    "riccati-zero/series_coefficients.csv": "2350cf5c4ef9cc56b0c674a499b01c7539a0672cc8ea085ebc551c07b1f1bc81",
+    "sir-fast/series.csv": "0e442f06ba419d47569cd3ef885938354a67c6086a233f1115b93fd4be93efb8",
+    "sir-fast/series_coefficients.csv": "741ca82285095e8c8389fd1ee73a72297a3b680017d6fe82ec68908a1290fc03",
+    "sir-slow/series.csv": "75f912a1396e89424eadda47c5fd4a0355a301767c0b3812a800dd816bead30a",
+    "sir-slow/series_coefficients.csv": "bd1cf090a5a609d7e3d4efcea2e543edfcf3de4a25c7d1cdcc0de1bf3fb47adb",
+    "fig2/fig2_orbit_series.csv": "b9d3e3f2f20d34a6ad138fb4a7279e65934421e3b87c2ab39edf638accee81cf",
+}
+
+
+def test_series_artifacts_match_golden_bytes(tmp_path):
+    for name in preset_names():
+        run_scenario(load_preset(name), tmp_path, fmt="csv")
+    reproduce_figure("fig2", tmp_path / "fig2", fmt="csv")
+    got = {key: hashlib.sha256((tmp_path / key).read_bytes()).hexdigest()
+           for key in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
+
+
+MULTISTAGE_LV = """\
+[scenario]
+name = lv-steps
+model = lotka_volterra
+
+[model]
+initial_state = 3.0, 2.0
+
+[model.params]
+a = 1
+b = 1
+c = 1
+d = 1
+
+[multistage]
+order = 5
+step = 0.1
+
+[grid]
+t_end = 10.0
+samples = 201
+"""
+
+MULTISTAGE_SIR = """\
+[scenario]
+name = sir-steps
+model = sir
+
+[model]
+initial_state = 20, 15, 10
+
+[model.params]
+beta = 0.01
+gamma = 0.02
+
+[multistage]
+order = 6
+step = 0.15
+
+[grid]
+t_end = 9.0
+samples = 301
+"""
+
+
+@pytest.mark.parametrize("text", [MULTISTAGE_LV, MULTISTAGE_SIR], ids=["lv", "sir"])
+def test_one_reference_solve_serves_grid_and_multistage_nodes(text, tmp_path, monkeypatch):
+    config = validate_config(text)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("grid"))
+        return reference_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(serieslab.scenario, "reference_integrate", counted)
+    report = run_scenario(config, tmp_path, fmt="csv")
+    assert len(calls) == 1
+    monkeypatch.undo()
+    runner = _Runner(config, 1e-10)
+    # the two solves the runner used to make, one per grid
+    atol = _lv_atol(runner.model)
+    on_grid = reference_integrate(runner.model, config.t_end, 1e-10,
+                                  grid=runner.grid, atol=atol)
+    on_nodes = reference_integrate(runner.model, config.t_end, 1e-10,
+                                   grid=runner.multistage_tr.times, atol=atol)
+    assert np.array_equal(runner.reference_tr.times, on_grid.times)
+    assert np.array_equal(runner.reference_tr.states, on_grid.states)
+    assert runner.reference_tr.meta == on_grid.meta
+    assert np.array_equal(runner.reference_nodes.states, on_nodes.states)
+    old = float(np.max(np.abs(runner.multistage_tr.states - on_nodes.states)))
+    row, = [r for r in report.rows if r.quantity == "multistage_vs_reference"]
+    assert row.computed == old
+    assert row.passed
+
+
+def test_guard_types_numerical_failures_and_reraises_bugs():
+    runner = _Runner(validate_config(MINIMAL_RICCATI), 1e-10)
+
+    def diverges():
+        raise DivergenceError("state diverged at stage 3", step_index=3)
+
+    runner.guard("multistage_end_error", diverges)
+    row, = runner.rows
+    assert not row.passed
+    assert row.source == "error: DivergenceError: state diverged at stage 3"
+    for bug in (TypeError("bad operand"), KeyError("beta"), AttributeError("states")):
+        def broken(bug=bug):
+            raise bug
+
+        with pytest.raises(type(bug)):
+            runner.guard("x_limit", broken)
+    assert len(runner.rows) == 1
+
+
 def test_run_scenario_failures_become_rows(tmp_path):
     text = MINIMAL_RICCATI + """
 [analyses]
@@ -203,7 +337,8 @@ def test_numeric_error_surfaces_as_failed_row(tmp_path):
     assert not report.all_passed
     failed = [row for row in report.rows if not row.passed]
     assert failed
-    assert any(row.source.startswith("error:") for row in failed)
+    assert any(row.source.startswith("error: NotEstimableError: ")
+               for row in failed)
 
 
 def test_report_rows_have_explicit_criteria(tmp_path):

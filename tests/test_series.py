@@ -11,11 +11,13 @@ from serieslab.exact import riccati_exact
 from serieslab.integrators import reference_integrate
 from serieslab.models import Monomial, PolynomialVectorField, build_riccati, make_model
 from serieslab.series import (
+    KERNEL_MAX_ORDER,
     TruncatedSeries,
     eval_series,
     generate_taylor_solution,
     series_add,
     series_mul,
+    straight_line_kernel,
     taylor_coefficients,
 )
 
@@ -362,3 +364,93 @@ def test_builtin_plans_hold_one_product_row(model_fn):
     # x*y appears in both predator-prey equations and in two epidemic
     # equations, and is computed once; the Riccati row is y*y
     assert len(model_fn().field.plan.rows) == 1
+
+
+# -- the straight-line kernel against the plan loop --------------------------
+
+def plan_loop_taylor_coefficients(field, state, order):
+    """The plan recursion as a loop over orders and rows, one np.correlate
+    per product coefficient: what every order ran before the straight-line
+    kernel, and what orders above KERNEL_MAX_ORDER still run.  Kept as the
+    kernel's oracle."""
+    plan = field.plan
+    dim = field.dimension
+    w = np.zeros((dim + 1 + len(plan.rows), order + 1))
+    w[:dim, 0] = np.asarray(state, dtype=float)
+    w[dim, 0] = 1.0
+    for k in range(order):
+        for row, (left, right) in enumerate(plan.rows, start=dim + 1):
+            w[row, k] = np.correlate(w[left, : k + 1], w[right, k::-1])[0]
+        w[:dim, k + 1] = [acc / (k + 1) for acc in plan.combine(w[:, k].tolist())]
+    return w[:dim]
+
+
+def constant_zero_cubic_field():
+    """The cubic field plus a term with a zero coefficient, which adds
+    c * v = -0.0 whenever v < 0."""
+    field = cubic_field()
+    first, second = field.equations
+    return PolynomialVectorField(2, (first + (Monomial(0.0, (1, 1)),), second))
+
+
+def signed_zero_start(model):
+    """The same model started with its first component at -0.0."""
+    state = model.initial_state.copy()
+    state[0] = -0.0
+    if model.label == "riccati":
+        return build_riccati(-0.0)
+    return make_model(model.label, model.params, state)
+
+
+@pytest.mark.parametrize("family", ["riccati", "lotka_volterra", "sir"])
+def test_kernel_is_byte_identical_to_plan_loop(family):
+    assert KERNEL_MAX_ORDER == 11
+    for seed in range(12):
+        model = seeded_model(family, seed)
+        if seed % 3 == 0:
+            model = signed_zero_start(model)
+        for order in range(1, KERNEL_MAX_ORDER + 1):
+            got = taylor_coefficients(model.field, model.initial_state, order)
+            want = plan_loop_taylor_coefficients(model.field, model.initial_state, order)
+            assert got.shape == want.shape
+            # tobytes, not array_equal: -0.0 and 0.0 must not pass for each other
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("state", [[0.3, -0.2], [-0.0, 0.5], [-0.0, -0.0], [-1.3, 0.8]])
+def test_kernel_handles_constants_zero_coefficients_and_chains(state):
+    field = constant_zero_cubic_field()
+    for order in range(1, KERNEL_MAX_ORDER + 1):
+        got = taylor_coefficients(field, state, order)
+        want = plan_loop_taylor_coefficients(field, state, order)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", ["riccati", "lotka_volterra", "sir"])
+@pytest.mark.parametrize("order", [KERNEL_MAX_ORDER, KERNEL_MAX_ORDER + 1])
+def test_kernel_boundary_matches_nested_loops(family, order):
+    for seed in range(20):
+        model = seeded_model(family, 1000 + seed)
+        got = taylor_coefficients(model.field, model.initial_state, order)
+        want = reference_taylor_coefficients(model.field, model.initial_state, order)
+        assert np.array_equal(got, want)
+
+
+def test_one_compiled_kernel_serves_a_family():
+    slow = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [3.0, 2.0])
+    fast = make_model("lotka_volterra", dict(a=2.5, b=0.3, c=1.7, d=0.9), [1.0, 4.0])
+    assert slow.field.plan.shape == fast.field.plan.shape
+    # the shape holds indices only; the rates never reach the compiled source
+    def leaves(node):
+        return [x for n in node for x in leaves(n)] if isinstance(node, tuple) else [node]
+
+    assert all(type(leaf) is int for leaf in leaves(slow.field.plan.shape))
+    straight_line_kernel.cache_clear()
+    got_slow = taylor_coefficients(slow.field, slow.initial_state, 7)
+    got_fast = taylor_coefficients(fast.field, fast.initial_state, 7)
+    info = straight_line_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert not np.array_equal(got_slow, got_fast)
+    for model, got in ((slow, got_slow), (fast, got_fast)):
+        want = plan_loop_taylor_coefficients(model.field, model.initial_state, 7)
+        assert got.tobytes() == want.tobytes()
