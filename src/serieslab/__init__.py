@@ -67,6 +67,7 @@ from .series import (
     series_add,
     series_mul,
     taylor_coefficients,
+    taylor_path,
 )
 
 __version__ = "0.1.0"

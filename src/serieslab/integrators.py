@@ -18,12 +18,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .models import ModelInstance
-from .series import SeriesSolution, eval_series, taylor_coefficients
+from .series import DIVERGENCE_LIMIT, SeriesSolution, eval_series, taylor_path
 
 PROVENANCES = ("series", "multistage", "reference", "exact")
-
-#: any state beyond this magnitude is treated as divergence, not data
-DIVERGENCE_LIMIT = 1e12
 
 
 class DivergenceError(ArithmeticError):
@@ -91,31 +88,15 @@ def multistage_taylor(
         raise ValueError("step must be positive")
     if not t_end > 0:
         raise ValueError("t_end must be positive")
-    times = [0.0]
-    states = [model.initial_state.tolist()]
-    t = 0.0
-    index = 0
-    while t < t_end:
-        dt = min(step, t_end - t)
-        coef = taylor_coefficients(model.field, states[-1], order)
-        nxt = []
-        for row in coef.tolist():
-            # Horner from 0.0, so a -0.0 start steps to +0.0
-            value = 0.0
-            for c in reversed(row):
-                value = value * dt + c
-            nxt.append(value)
-        # the comparison is False for NaN and inf as well
-        if not all(abs(value) <= DIVERGENCE_LIMIT for value in nxt):
-            raise DivergenceError(
-                f"state diverged at stage {index} (t={t + dt:.6g}); "
-                "the step likely exceeds the local convergence radius",
-                step_index=index,
-            )
-        t = t + dt
-        times.append(t)
-        states.append(nxt)
-        index += 1
+    times, states, failed = taylor_path(model.field, model.initial_state, order,
+                                        step, t_end)
+    if failed is not None:
+        t = times[-1]
+        raise DivergenceError(
+            f"state diverged at stage {failed} (t={t + min(step, t_end - t):.6g}); "
+            "the step likely exceeds the local convergence radius",
+            step_index=failed,
+        )
     return Trajectory(
         np.array(times),
         np.array(states),

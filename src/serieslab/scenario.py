@@ -348,12 +348,18 @@ class _Runner:
             self.model, config.series_order)
         self.series_tr = sample_series(self.series_solution, self.grid)
         self.multistage_tr = None
+        self.multistage_failure = None
         nodes = self.grid
         if config.multistage:
-            self.multistage_tr = multistage_taylor(
-                self.model, config.multistage.order, config.multistage.step,
-                config.t_end)
-            nodes = np.union1d(self.grid, self.multistage_tr.times)
+            try:
+                self.multistage_tr = multistage_taylor(
+                    self.model, config.multistage.order, config.multistage.step,
+                    config.t_end)
+            except NUMERICAL_FAILURES as exc:
+                # reported as the multistage row; the rest of the run goes on
+                self.multistage_failure = exc
+            else:
+                nodes = np.union1d(self.grid, self.multistage_tr.times)
         # one solve serves both grids: solve_ivp's steps do not depend on
         # t_eval, so each grid reads the same dense output as a solve of
         # its own would
@@ -377,6 +383,14 @@ class _Runner:
             self.rows.append(error_row(quantity, exc))
             return
         self.rows.extend(rows)
+
+    def multistage_guard(self, quantity, producer):
+        """``guard`` for the rows of the multistage trajectory: a failed
+        multistage run becomes their one error row."""
+        if self.multistage_failure is not None:
+            self.rows.append(error_row(quantity, self.multistage_failure))
+        else:
+            self.guard(quantity, producer)
 
     def with_reference(self, quantity, computed, default_reference,
                        default_tol, default_kind, default_source):
@@ -452,7 +466,7 @@ class _Runner:
 
                 self.guard("multistage_radius_min", restart_min)
 
-        if self.multistage_tr is not None:
+        if self.config.multistage:
             def multistage_rows():
                 rows = []
                 exact_end = riccati_exact(y0, self.config.t_end)
@@ -468,7 +482,7 @@ class _Runner:
                         rv.value, rv.tolerance, rv.kind, rv.source))
                 return rows
 
-            self.guard("multistage_end_error", multistage_rows)
+            self.multistage_guard("multistage_end_error", multistage_rows)
 
     def estimate_rows(self):
         def rows():
@@ -640,7 +654,7 @@ class _Runner:
                 "multistage_vs_reference", err, 1e-4,
                 "piecewise series against the reference integrator")]
 
-        self.guard("multistage_vs_reference", rows)
+        self.multistage_guard("multistage_vs_reference", rows)
 
     # -- driver ----------------------------------------------------------
 
@@ -648,14 +662,14 @@ class _Runner:
         config = self.config
         # an empty analysis list with no multistage section means
         # trajectories only: the report table stays empty
-        any_rows = bool(config.analyses) or self.multistage_tr is not None
+        any_rows = bool(config.analyses) or config.multistage is not None
         if config.model_name == "riccati":
             if any_rows:
                 self.riccati_rows()
         else:
             if "radius" in config.analyses:
                 self.estimate_rows()
-            if self.multistage_tr is not None:
+            if config.multistage:
                 self.generic_multistage_rows()
         if config.model_name == "sir":
             if any_rows:

@@ -103,16 +103,22 @@ class SeriesSolution:
 KERNEL_MAX_ORDER = 11
 
 
-def _kernel_source(shape, order: int) -> str:
-    """Loop-free Python for the recursion of one plan shape and order.
+#: any state beyond this magnitude is treated as divergence, not data
+DIVERGENCE_LIMIT = 1e12
+
+
+def _recursion_lines(shape, order: int, indent: str):
+    """Loop-free Python for the recursion of one plan shape and order:
+    the names of the coefficient locals, the lines, and ``u(operand, k)``,
+    the name (or literal) of coefficient k of an operand.
 
     Local ``u{operand}_{k}`` holds coefficient k of an operand; the
     constant operand is the literal series 1.0, 0.0, 0.0, ...  Every sum
     starts from 0.0 and adds in the loop's order (products by ascending
     left index, equation terms in monomial order), so the result matches
-    the loop bit for bit, signed zeros included.  The source holds only
-    integer indices and fixed names; the coefficients arrive as an
-    argument.
+    the loop bit for bit, signed zeros included.  The lines hold only
+    integer indices and fixed names; they read the coefficient locals and
+    ``u{i}_0`` for each state component.
     """
     dim, rows, operands = shape
 
@@ -123,25 +129,85 @@ def _kernel_source(shape, order: int) -> str:
 
     counter = count()
     term_names = [[f"c{next(counter)}" for _ in ops] for ops in operands]
-    flat = [name for eq in term_names for name in eq]
-    lines = [
-        "def kernel(state, coefficients):",
-        f"    [{', '.join(flat)}] = coefficients",
-        f"    [{', '.join(u(i, 0) for i in range(dim))}] = state",
-    ]
+    lines = []
     for k in range(order):
         for row, (left, right) in enumerate(rows, start=dim + 1):
             products = "".join(
                 f" + {u(left, i)} * {u(right, k - i)}" for i in range(k + 1))
-            lines.append(f"    {u(row, k)} = 0.0{products}")
+            lines.append(f"{indent}{u(row, k)} = 0.0{products}")
         for i, (ops, eq_names) in enumerate(zip(operands, term_names)):
             terms = "".join(f" + {c} * {u(op, k)}" for c, op in zip(eq_names, ops))
-            lines.append(f"    {u(i, k + 1)} = (0.0{terms}) / {float(k + 1)!r}")
+            lines.append(f"{indent}{u(i, k + 1)} = (0.0{terms}) / {float(k + 1)!r}")
+    return [name for eq in term_names for name in eq], lines, u
+
+
+def _kernel_source(shape, order: int) -> str:
+    """``kernel(state, coefficients)``: the recursion, returning one tuple
+    of coefficients per component."""
+    dim = shape[0]
+    names, body, u = _recursion_lines(shape, order, "    ")
     series = ", ".join(
         "(" + ", ".join(u(i, k) for k in range(order + 1)) + ",)"
         for i in range(dim))
-    lines.append(f"    return ({series},)")
+    lines = [
+        "def kernel(state, coefficients):",
+        f"    [{', '.join(names)}] = coefficients",
+        f"    [{', '.join(u(i, 0) for i in range(dim))}] = state",
+        *body,
+        f"    return ({series},)",
+    ]
     return "\n".join(lines) + "\n"
+
+
+def _path_source(shape, order: int) -> str:
+    """``path(state, coefficients, step, t_end)``: the whole stage loop of
+    ``taylor_path``, returning (times, states, failed stage or None).
+
+    Per stage: the step ``min(step, t_end - t)``, the recursion, Horner
+    from 0.0 (so a -0.0 start steps to +0.0), the divergence guard, then
+    ``t + dt``; the same float operations in the same order as the loop
+    over ``taylor_coefficients``.  ``-limit <= v <= limit`` is False for
+    NaN and both infinities, as ``abs(v) <= limit`` is.
+    """
+    dim = shape[0]
+    names, body, u = _recursion_lines(shape, order, "        ")
+    limit = repr(DIVERGENCE_LIMIT)
+    state = "(" + ", ".join(u(i, 0) for i in range(dim)) + ",)"
+    lines = [
+        "def path(state, coefficients, step, t_end):",
+        f"    [{', '.join(names)}] = coefficients",
+        f"    [{', '.join(u(i, 0) for i in range(dim))}] = state",
+        "    t = 0.0",
+        "    times = [t]",
+        f"    states = [{state}]",
+        "    index = 0",
+        "    while t < t_end:",
+        "        rest = t_end - t",
+        "        dt = rest if rest < step else step",
+        *body,
+    ]
+    for i in range(dim):
+        horner = "0.0"
+        for k in range(order, -1, -1):
+            horner = f"({horner} * dt + {u(i, k)})"
+        lines.append(f"        {u(i, 0)} = {horner}")
+    within = " and ".join(f"-{limit} <= {u(i, 0)} <= {limit}" for i in range(dim))
+    lines += [
+        f"        if not ({within}):",
+        "            return times, states, index",
+        "        t = t + dt",
+        "        times.append(t)",
+        f"        states.append({state})",
+        "        index = index + 1",
+        "    return times, states, None",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _compile(source: str, name: str, label: str):
+    namespace = {"__builtins__": {}}
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace[name]
 
 
 @lru_cache(maxsize=128)
@@ -150,11 +216,18 @@ def straight_line_kernel(shape, order: int):
     ``kernel(state values, plan.coefficients)`` returns one tuple of
     coefficients per component.  Cached, so one compile serves every
     field of a family."""
-    namespace = {"__builtins__": {}}
-    code = compile(_kernel_source(shape, order), f"<taylor kernel, order {order}>",
-                   "exec")
-    exec(code, namespace)
-    return namespace["kernel"]
+    return _compile(_kernel_source(shape, order), "kernel",
+                    f"taylor kernel, order {order}")
+
+
+@lru_cache(maxsize=128)
+def straight_line_path(shape, order: int):
+    """The compiled stage loop of ``taylor_path`` for a
+    ``ProductPlan.shape`` and an order:
+    ``path(state values, plan.coefficients, step, t_end)``.  Cached like
+    ``straight_line_kernel``."""
+    return _compile(_path_source(shape, order), "path",
+                    f"taylor path, order {order}")
 
 
 def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.ndarray:
@@ -190,6 +263,55 @@ def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.n
             w[row, k] = np.correlate(w[left, : k + 1], w[right, k::-1])[0]
         w[:dim, k + 1] = [acc / (k + 1) for acc in plan.combine(w[:, k].tolist())]
     return w[:dim]
+
+
+def taylor_path(field: PolynomialVectorField, state, order: int, step: float,
+                t_end: float):
+    """Piecewise series stepping of u' = P(u) from ``state`` at t = 0.
+
+    Each stage expands the order-``order`` series about the current state
+    and evaluates it, in Horner form, at ``min(step, t_end - t)``, so the
+    last stage lands exactly on ``t_end``.  Returns ``(times, states,
+    failed)``: lists of the stage times and state tuples up to the last
+    good stage, and the index of the stage whose state left
+    [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] (NaN included), or None.
+    Orders up to ``KERNEL_MAX_ORDER`` run the plan's compiled stage loop,
+    higher ones a loop over ``taylor_coefficients``; both round alike.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if not step > 0:
+        raise ValueError("step must be positive")
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
+    state = np.asarray(state, dtype=float)
+    if state.shape != (field.dimension,):
+        raise ValueError("state length must equal the field dimension")
+    plan = field.plan
+    if order <= KERNEL_MAX_ORDER:
+        path = straight_line_path(plan.shape, order)
+        return path(state.tolist(), plan.coefficients, step, t_end)
+    times = [0.0]
+    states = [tuple(state.tolist())]
+    t = 0.0
+    index = 0
+    while t < t_end:
+        dt = min(step, t_end - t)
+        nxt = []
+        for row in taylor_coefficients(field, states[-1], order).tolist():
+            # Horner from 0.0, so a -0.0 start steps to +0.0
+            value = 0.0
+            for c in reversed(row):
+                value = value * dt + c
+            nxt.append(value)
+        # the comparison is False for NaN and inf as well
+        if not all(abs(value) <= DIVERGENCE_LIMIT for value in nxt):
+            return times, states, index
+        t = t + dt
+        times.append(t)
+        states.append(tuple(nxt))
+        index += 1
+    return times, states, None
 
 
 def generate_taylor_solution(model: ModelInstance, order: int) -> SeriesSolution:

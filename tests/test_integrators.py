@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from serieslab.models import (
     build_riccati,
     make_model,
 )
-from serieslab.series import eval_series, generate_taylor_solution, taylor_coefficients
+from serieslab.series import (
+    KERNEL_MAX_ORDER,
+    _path_source,
+    eval_series,
+    generate_taylor_solution,
+    straight_line_path,
+    taylor_coefficients,
+    taylor_path,
+)
 
 
 def lv_case_v():
@@ -252,7 +261,20 @@ def reference_stages(model, order, step, t_end):
     return np.array(times), np.vstack(states), None
 
 
-@pytest.mark.parametrize("order", range(2, 9))
+def cubic_model(start=(0.3, -0.2)):
+    """Constant terms, cubic chains and a zero coefficient (0.0 * x*y adds
+    -0.0 whenever x*y < 0)."""
+    field = PolynomialVectorField(2, (
+        (Monomial(0.5, (0, 0)), Monomial(-0.2, (3, 0)), Monomial(0.0, (1, 1)),
+         Monomial(0.3, (0, 1))),
+        (Monomial(-0.4, (0, 0)), Monomial(0.7, (1, 2)), Monomial(-1.1, (0, 1))),
+    ))
+    return ModelInstance(field, {}, np.array(start), "cubic")
+
+
+# orders 2-13: the compiled stage loop up to KERNEL_MAX_ORDER, the loop over
+# taylor_coefficients above it
+@pytest.mark.parametrize("order", range(2, KERNEL_MAX_ORDER + 3))
 @pytest.mark.parametrize("model_fn, step, t_end", [
     (lambda: build_riccati(0.0), 0.2, 6.0),
     (lambda: build_riccati(3.7), 0.05, 2.0),
@@ -262,14 +284,72 @@ def reference_stages(model, order, step, t_end):
     (sir_slow, 0.25, 9.0),
     (lambda: make_model("sir", dict(beta=1.0, gamma=1.0), [20.0, 4.0, 10.0]),
      0.01, 1.0),
-], ids=["riccati0", "riccati3.7", "lv_case_v", "lv_skewed", "sir_slow", "sir_fast"])
+    (cubic_model, 0.07, 2.0),
+], ids=["riccati0", "riccati3.7", "lv_case_v", "lv_skewed", "sir_slow", "sir_fast",
+        "cubic"])
 def test_stages_are_bit_identical_to_the_array_loop(model_fn, step, t_end, order):
     model = model_fn()
     tr = multistage_taylor(model, order, step, t_end)
     times, states, failure = reference_stages(model, order, step, t_end)
     assert failure is None
-    assert np.array_equal(tr.times, times)
+    assert tr.times.tobytes() == times.tobytes()
     assert tr.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("order", [6, KERNEL_MAX_ORDER + 1])
+def test_shortened_last_stage_lands_on_t_end(order):
+    # 0.07 does not divide 2.0: the last stage is min(step, t_end - t)
+    tr = multistage_taylor(cubic_model((-0.0, 0.4)), order, 0.07, 2.0)
+    times, states, failure = reference_stages(cubic_model((-0.0, 0.4)), order,
+                                              0.07, 2.0)
+    assert failure is None
+    assert tr.times[-1] == 2.0
+    assert 0.0 < tr.times[-1] - tr.times[-2] < 0.07
+    assert tr.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("order", [KERNEL_MAX_ORDER + 1, KERNEL_MAX_ORDER + 2])
+def test_path_above_the_cut_off_rounds_as_the_array_loop(order):
+    # steps near the local radius weigh the top coefficients, where a sum
+    # of 12 or more terms added one by one rounds unlike np.correlate's
+    model = make_model("lotka_volterra", dict(a=0.84, b=0.72, c=3.0, d=0.23), [3.5, 4.4])
+    times, states, failed = taylor_path(model.field, model.initial_state, order,
+                                        0.4, 10.0)
+    want_times, want_states, failure = reference_stages(model, order, 0.4, 10.0)
+    assert np.array(times).tobytes() == want_times.tobytes()
+    assert np.array(states).tobytes() == want_states.tobytes()
+    assert failed == (failure[0] if failure else None)
+
+
+def test_one_compiled_path_serves_a_family():
+    slow = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [3.0, 2.0])
+    fast = make_model("lotka_volterra", dict(a=2.5, b=0.3, c=1.7, d=0.9), [1.0, 4.0])
+    straight_line_path.cache_clear()
+    paths = [multistage_taylor(model, 7, 0.05, 2.0) for model in (slow, fast)]
+    info = straight_line_path.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert not np.array_equal(paths[0].states, paths[1].states)
+    for model, tr in zip((slow, fast), paths):
+        _, states, _ = reference_stages(model, 7, 0.05, 2.0)
+        assert tr.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    make_model("lotka_volterra", dict(a=2.5, b=0.3, c=1.7, d=0.9), [1.0, 4.0]),
+    make_model("sir", dict(beta=0.0123, gamma=0.0456), [20.0, 15.0, 10.0]),
+    cubic_model(),
+], ids=["lotka_volterra", "sir", "cubic"])
+def test_path_source_holds_no_model_coefficient(model):
+    plan = model.field.plan
+    for order in (2, 7, KERNEL_MAX_ORDER):
+        source = _path_source(plan.shape, order)
+        # the only float literals: sums' 0.0 start, the constant 1.0, the
+        # divisors k+1 and the divergence limit
+        allowed = {repr(float(k)) for k in range(order + 1)} | {repr(DIVERGENCE_LIMIT)}
+        assert set(re.findall(r"\d+\.\d+(?:e[-+]?\d+)?", source)) <= allowed
+        for c in plan.coefficients:
+            if c not in (0.0, 1.0):
+                assert repr(c) not in source
 
 
 def test_stage_from_a_negative_zero_state():
@@ -297,7 +377,10 @@ def scaled_quadratic(start, cubic):
     (scaled_quadratic(2.8e-26, cubic=False), 8, 1.0, "inf"),
     (scaled_quadratic(2.8e-26, cubic=True), 8, 1.0, "nan"),
     (build_riccati(1e100), 5, 0.1, "nan"),
-], ids=["over_limit", "inf", "nan", "nan_first_stage"])
+    (build_riccati(-1.0), KERNEL_MAX_ORDER + 1, 0.1, "over the limit"),
+    (build_riccati(1e100), KERNEL_MAX_ORDER + 1, 0.1, "nan"),
+], ids=["over_limit", "inf", "nan", "nan_first_stage", "over_limit_loop",
+        "nan_first_stage_loop"])
 def test_divergence_guard_stops_where_the_array_loop_did(model, order, step, kind):
     _, _, failure = reference_stages(model, order, step, 10.0)
     index, state = failure

@@ -288,6 +288,58 @@ def test_one_reference_solve_serves_grid_and_multistage_nodes(text, tmp_path, mo
     assert row.passed
 
 
+DIVERGING_RICCATI = """\
+[scenario]
+name = riccati-wide-steps
+model = riccati
+
+[model]
+initial_state = 0.0
+
+[multistage]
+order = 5
+step = 3.0
+
+[grid]
+t_end = 10.0
+samples = 101
+
+[analyses]
+items = radius
+"""
+
+
+@pytest.mark.parametrize("text, quantity, message", [
+    (DIVERGING_RICCATI, "multistage_end_error", "state diverged at stage 1 (t=6)"),
+    (MULTISTAGE_LV.replace("step = 0.1", "step = 2.0"), "multistage_vs_reference",
+     "state diverged at stage 2 (t=6)"),
+], ids=["riccati", "lv"])
+def test_diverging_multistage_run_becomes_an_error_row(text, quantity, message,
+                                                       tmp_path, monkeypatch):
+    path = tmp_path / "diverging.ini"
+    path.write_text(text)
+    config = validate_config(text)
+    grids = []
+
+    def counted(*args, **kwargs):
+        grids.append(kwargs.get("grid"))
+        return reference_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(serieslab.scenario, "reference_integrate", counted)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    # the reference solve runs on the plot grid alone
+    assert len(grids) == 1
+    assert np.array_equal(grids[0], np.linspace(0.0, config.t_end, config.samples))
+    directory = tmp_path / "out" / config.name
+    assert {p.name for p in directory.iterdir()} == {
+        "series.csv", "reference.csv", "series_coefficients.csv",
+        "timeseries.svg", "report.txt", "report.csv"}
+    report = run_scenario(config, tmp_path / "again", fmt="csv")
+    failed = [row for row in report.rows if not row.passed]
+    assert [row.quantity for row in failed] == [quantity]
+    assert failed[0].source.startswith(f"error: DivergenceError: {message}; ")
+
+
 def test_guard_types_numerical_failures_and_reraises_bugs():
     runner = _Runner(validate_config(MINIMAL_RICCATI), 1e-10)
 
