@@ -20,6 +20,7 @@ from .exact import (
     find_root_bracketed,
     lv_conserved,
     riccati_exact,
+    sir_curves,
     sir_endpoints,
     sir_t_of_x,
     sir_y_of_x,

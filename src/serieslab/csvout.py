@@ -6,7 +6,6 @@ inputs always serialise to identical bytes.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +21,7 @@ def format_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
+        # repr already spells nan, inf, -inf and -0.0
         return repr(value)
     return str(value)
 
@@ -37,10 +35,13 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> Path:
     for key, value in (meta or {}).items():
         lines.append(f"# {key}={value}")
     lines.append(",".join(columns))
-    if isinstance(rows, np.ndarray):
-        # plain Python scalars format without a per-cell .item() call
-        rows = rows.tolist()
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        # every cell is a float, whose format_cell is its repr
+        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+    else:
+        if isinstance(rows, np.ndarray):
+            # plain Python scalars format without a per-cell .item() call
+            rows = rows.tolist()
+        lines.extend(",".join(map(format_cell, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -95,22 +95,46 @@ def _sir_data(model: ModelInstance):
     return model.params["beta"], model.params["gamma"], x0, y0, z0
 
 
+def _sir_yz(x: float, x0: float, y0: float, z0: float, rho: float):
+    """Infectives and removed at susceptible count x: the model's one
+    statement of the exact relations, with rho = gamma/beta."""
+    removed = rho * math.log(x / x0)
+    return y0 + x0 - x + removed, z0 - removed
+
+
 def sir_y_of_x(x: float, model: ModelInstance) -> float:
     """Infectives as a function of susceptibles:
     y = y0 + x0 - x + (gamma/beta) * ln(x/x0)."""
-    beta, gamma, x0, y0, _ = _sir_data(model)
+    beta, gamma, x0, y0, z0 = _sir_data(model)
     if x <= 0:
         raise ValueError("x must be positive")
-    return y0 + x0 - x + (gamma / beta) * math.log(x / x0)
+    return _sir_yz(x, x0, y0, z0, gamma / beta)[0]
 
 
 def sir_z_of_x(x: float, model: ModelInstance) -> float:
     """Removed as a function of susceptibles:
     z = z0 - (gamma/beta) * ln(x/x0)."""
-    beta, gamma, x0, _, z0 = _sir_data(model)
+    beta, gamma, x0, y0, z0 = _sir_data(model)
     if x <= 0:
         raise ValueError("x must be positive")
-    return z0 - (gamma / beta) * math.log(x / x0)
+    return _sir_yz(x, x0, y0, z0, gamma / beta)[1]
+
+
+def sir_curves(x, model: ModelInstance) -> tuple[np.ndarray, np.ndarray]:
+    """``sir_y_of_x`` and ``sir_z_of_x`` at every susceptible count in x,
+    with the model checked once.
+
+    Each point goes through math.log, not np.log, whose last bit differs
+    from it for a few inputs, so the curves keep their bytes.
+    """
+    beta, gamma, x0, y0, z0 = _sir_data(model)
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise ValueError("x must be positive")
+    rho = gamma / beta
+    values = np.array([_sir_yz(v, x0, y0, z0, rho) for v in x.ravel().tolist()],
+                      dtype=float).reshape(-1, 2)
+    return values[:, 0].reshape(x.shape), values[:, 1].reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -165,14 +189,14 @@ def sir_endpoints(model: ModelInstance, tol: float = 1e-12) -> SirEndpoints:
     nontrivial root of y(x) = y0 (x = x0 always satisfies it, so the
     bracket deliberately stops short of x0).
     """
-    beta, gamma, x0, y0, _ = _sir_data(model)
+    beta, gamma, x0, y0, z0 = _sir_data(model)
     if not (x0 > 0 and y0 > 0):
         raise ValueError("need positive initial susceptibles and infectives")
     rho = gamma / beta
     epidemic = x0 > rho
 
     def infectives(x):
-        return y0 + x0 - x + rho * math.log(x / x0)
+        return _sir_yz(x, x0, y0, z0, rho)[0]
 
     # infectives(lo) = -lo by construction, so lo sits just below the root;
     # the max() guards exotic parameters against underflow to zero
@@ -207,7 +231,7 @@ def sir_t_of_x(x: float, model: ModelInstance, tol: float = 1e-9) -> float:
     takes infinite time to die out completely), so requests closer than a
     small relative guard above x_limit are refused.
     """
-    beta, gamma, x0, y0, _ = _sir_data(model)
+    beta, gamma, x0, y0, z0 = _sir_data(model)
     x = float(x)
     if x > x0:
         raise ValueError("x must not exceed the initial susceptible count")
@@ -221,7 +245,7 @@ def sir_t_of_x(x: float, model: ModelInstance, tol: float = 1e-9) -> float:
     rho = gamma / beta
 
     def integrand(u):
-        return 1.0 / (beta * u * (y0 + x0 - u + rho * math.log(u / x0)))
+        return 1.0 / (beta * u * _sir_yz(u, x0, y0, z0, rho)[0])
 
     value, abserr = quad(integrand, x, x0, epsabs=tol, epsrel=1e-11, limit=400)
     if abserr > max(10.0 * tol, 1e-7 * abs(value)):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvout import write_csv
-from .exact import sir_endpoints, sir_y_of_x, sir_z_of_x
+from .exact import sir_curves, sir_endpoints
 from .integrators import Trajectory, reference_integrate, sample_series
 from .models import ModelInstance, make_model
 from .series import eval_series, generate_taylor_solution
@@ -224,8 +224,7 @@ def _epidemic_figure(model: ModelInstance, stem: str, title: str, t_end: float,
     x0 = float(model.initial_state[0])
     # dense exact curves down to just above the infective die-out point
     x_dense = np.geomspace(ends.x_limit * 1.0001, x0, 800)
-    y_exact = np.array([sir_y_of_x(x, model) for x in x_dense])
-    z_exact = np.array([sir_z_of_x(x, model) for x in x_dense])
+    y_exact, z_exact = sir_curves(x_dense, model)
     grid = np.linspace(0.0, t_end, 601)
     sol = generate_taylor_solution(model, 5)
     xs = np.atleast_1d(eval_series(sol.components[0], grid))
@@ -233,8 +232,10 @@ def _epidemic_figure(model: ModelInstance, stem: str, title: str, t_end: float,
     zs = np.atleast_1d(eval_series(sol.components[2], grid))
     # exact curves re-evaluated at the series' own susceptible coordinate,
     # where that coordinate is still meaningful
-    y_at = np.array([sir_y_of_x(x, model) if 0 < x <= x0 else np.nan for x in xs])
-    z_at = np.array([sir_z_of_x(x, model) if 0 < x <= x0 else np.nan for x in xs])
+    inside = (xs > 0) & (xs <= x0)
+    y_at = np.full(xs.shape, np.nan)
+    z_at = np.full(xs.shape, np.nan)
+    y_at[inside], z_at[inside] = sir_curves(xs[inside], model)
     params = f"beta={model.params['beta']:g} gamma={model.params['gamma']:g}"
     files = []
     if fmt in ("csv", "both"):

@@ -27,7 +27,13 @@ from .convergence import (
     riccati_radius,
 )
 from .csvout import write_csv
-from .exact import lv_conserved, riccati_exact, sir_endpoints, sir_y_of_x
+from .exact import (
+    lv_conserved,
+    riccati_exact,
+    sir_curves,
+    sir_endpoints,
+    sir_y_of_x,
+)
 from .figures import DEEP_DECAY_ATOL, lv_closed_orbit, polyline_self_intersects
 from .integrators import (
     Trajectory,
@@ -360,37 +366,43 @@ class _Runner:
                 self.multistage_failure = exc
             else:
                 nodes = np.union1d(self.grid, self.multistage_tr.times)
+        self.reference_tr = None
+        self.reference_nodes = None
+        self.reference_failure = None
         # one solve serves both grids: solve_ivp's steps do not depend on
         # t_eval, so each grid reads the same dense output as a solve of
         # its own would
-        solved = reference_integrate(
-            self.model, config.t_end, tol, grid=nodes,
-            atol=_lv_atol(self.model))
-        self.reference_tr = _restrict(solved, self.grid)
-        self.reference_nodes = None
-        if self.multistage_tr is not None:
-            self.reference_nodes = _restrict(solved, self.multistage_tr.times)
+        try:
+            solved = reference_integrate(
+                self.model, config.t_end, tol, grid=nodes,
+                atol=_lv_atol(self.model))
+        except NUMERICAL_FAILURES as exc:
+            # a blow-up start: reported as the rows that read the reference
+            self.reference_failure = exc
+        else:
+            self.reference_tr = _restrict(solved, self.grid)
+            if self.multistage_tr is not None:
+                self.reference_nodes = _restrict(solved,
+                                                 self.multistage_tr.times)
 
     # -- row helpers -----------------------------------------------------
 
-    def guard(self, quantity, producer):
+    def guard(self, quantity, producer, *needs):
         """Add the producer's rows, or one error row if it fails
-        numerically; a programming error (TypeError, KeyError, ...) is not
-        a result and propagates."""
+        numerically or if a run it ``needs`` (the failure of the reference
+        or multistage run, None when that run succeeded) failed; a
+        programming error (TypeError, KeyError, ...) is not a result and
+        propagates."""
+        failure = next((exc for exc in needs if exc is not None), None)
+        if failure is not None:
+            self.rows.append(error_row(quantity, failure))
+            return
         try:
             rows = producer()
         except NUMERICAL_FAILURES as exc:
             self.rows.append(error_row(quantity, exc))
             return
         self.rows.extend(rows)
-
-    def multistage_guard(self, quantity, producer):
-        """``guard`` for the rows of the multistage trajectory: a failed
-        multistage run becomes their one error row."""
-        if self.multistage_failure is not None:
-            self.rows.append(error_row(quantity, self.multistage_failure))
-        else:
-            self.guard(quantity, producer)
 
     def with_reference(self, quantity, computed, default_reference,
                        default_tol, default_kind, default_source):
@@ -423,7 +435,7 @@ class _Runner:
                 "exact_final_state", computed, reference, tol_abs, "abs",
                 "reference integrator end state")]
 
-        self.guard("exact_final_state", exact_final)
+        self.guard("exact_final_state", exact_final, self.reference_failure)
 
         if "radius" in self.config.analyses:
             def radius_rows():
@@ -482,7 +494,8 @@ class _Runner:
                         rv.value, rv.tolerance, rv.kind, rv.source))
                 return rows
 
-            self.multistage_guard("multistage_end_error", multistage_rows)
+            self.guard("multistage_end_error", multistage_rows,
+                       self.multistage_failure)
 
     def estimate_rows(self):
         def rows():
@@ -551,7 +564,7 @@ class _Runner:
                     "x_peak", ends.x_peak, rho, 0.0, "abs",
                     "peak location gamma/beta"))
                 xg = np.geomspace(ends.x_limit * 1.001, x0, 4001)
-                grid_max = max(sir_y_of_x(float(x), model) for x in xg)
+                grid_max = float(np.max(sir_curves(xg, model)[0]))
                 rv = self.refs.get("y_peak")
                 if rv is not None:
                     out.append(compare_row("y_peak", ends.y_peak, rv.value,
@@ -592,7 +605,7 @@ class _Runner:
                     "total population along the reference trajectory"),
             ]
 
-        self.guard("population_conservation", rows)
+        self.guard("population_conservation", rows, self.reference_failure)
 
     def conserved_rows(self):
         p = self.model.params
@@ -629,7 +642,7 @@ class _Runner:
                 "true orbits stay in the open positive quadrant"))
             return out
 
-        self.guard("conserved", rows)
+        self.guard("conserved", rows, self.reference_failure)
 
     def phase_plane_rows(self):
         def rows():
@@ -654,7 +667,8 @@ class _Runner:
                 "multistage_vs_reference", err, 1e-4,
                 "piecewise series against the reference integrator")]
 
-        self.multistage_guard("multistage_vs_reference", rows)
+        self.guard("multistage_vs_reference", rows, self.multistage_failure,
+                   self.reference_failure)
 
     # -- driver ----------------------------------------------------------
 
@@ -720,13 +734,11 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "both",
     columns = ["t", *runner.names]
     if fmt in ("csv", "both"):
         for tr, stem in ((runner.series_tr, "series"),
-                         (runner.reference_tr, "reference")):
-            write_csv(directory / f"{stem}.csv", columns,
-                      np.column_stack([tr.times, tr.states]), traj_meta(tr))
-        if runner.multistage_tr is not None:
-            tr = runner.multistage_tr
-            write_csv(directory / "multistage.csv", columns,
-                      np.column_stack([tr.times, tr.states]), traj_meta(tr))
+                         (runner.reference_tr, "reference"),
+                         (runner.multistage_tr, "multistage")):
+            if tr is not None:
+                write_csv(directory / f"{stem}.csv", columns,
+                          np.column_stack([tr.times, tr.states]), traj_meta(tr))
         coeffs = np.vstack([c.coefficients
                             for c in runner.series_solution.components])
         write_csv(
@@ -738,20 +750,20 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "both",
         )
     if fmt in ("svg", "both"):
         plot = LinePlot(f"Scenario {config.name}", "t", "state")
-        for i, name in enumerate(runner.names):
-            plot.add_curve(runner.reference_tr.times,
-                           runner.reference_tr.states[:, i],
-                           f"{name} (reference)")
-        for i, name in enumerate(runner.names):
-            plot.add_curve(runner.series_tr.times, runner.series_tr.states[:, i],
-                           f"{name} (series)", dash="6,3")
-        finite = runner.reference_tr.states[np.isfinite(
-            runner.reference_tr.states).all(axis=1)]
-        if finite.size:
-            lo = float(finite.min())
-            hi = float(finite.max())
-            pad = 0.15 * (hi - lo if hi > lo else 1.0)
-            plot.set_ylim(lo - pad, hi + pad)
+        reference = runner.reference_tr
+        for tr, stem, dash in ((reference, "reference", None),
+                               (runner.series_tr, "series", "6,3")):
+            if tr is not None:
+                for i, name in enumerate(runner.names):
+                    plot.add_curve(tr.times, tr.states[:, i],
+                                   f"{name} ({stem})", dash=dash)
+        if reference is not None:
+            finite = reference.states[np.isfinite(reference.states).all(axis=1)]
+            if finite.size:
+                lo = float(finite.min())
+                hi = float(finite.max())
+                pad = 0.15 * (hi - lo if hi > lo else 1.0)
+                plot.set_ylim(lo - pad, hi + pad)
         plot.write(directory / "timeseries.svg")
     report.write(directory)
     return report

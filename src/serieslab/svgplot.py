@@ -153,10 +153,13 @@ class LinePlot:
         # curves, clipped to the frame
         out.append('<g clip-path="url(#box)">')
         for x, y, _label, color, dash in self.curves:
+            # whole-curve arithmetic rounds each element as the scalar
+            # formula would; only the formatting stays per point
+            finite = (np.isfinite(x) & np.isfinite(y)).tolist()
             pts = []
-            for xv, yv in zip(x, y):
-                if math.isfinite(xv) and math.isfinite(yv):
-                    pts.append(f"{sx(xv):.2f},{sy(yv):.2f}")
+            for keep, px, py in zip(finite, sx(x).tolist(), sy(y).tolist()):
+                if keep:
+                    pts.append(f"{px:.2f},{py:.2f}")
                 else:
                     if len(pts) > 1:
                         self._emit_polyline(out, pts, color, dash)

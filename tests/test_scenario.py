@@ -340,6 +340,56 @@ def test_diverging_multistage_run_becomes_an_error_row(text, quantity, message,
     assert failed[0].source.startswith(f"error: DivergenceError: {message}; ")
 
 
+BLOW_UP_RICCATI = """\
+[scenario]
+name = riccati-blow-up
+model = riccati
+
+[model]
+initial_state = -1.0
+
+[grid]
+t_end = 3.0
+samples = 31
+
+[analyses]
+items = radius
+"""
+
+ESCAPED = "error: IntegrationError: solution escaped the divergence limit"
+
+
+@pytest.mark.parametrize("text, rows", [
+    (BLOW_UP_RICCATI, [("exact_final_state", ESCAPED),
+                       ("series_radius_exact", None),
+                       ("radius_estimate_y", None)]),
+    (BLOW_UP_RICCATI + "\n[multistage]\norder = 5\nstep = 0.1\n",
+     [("exact_final_state", ESCAPED),
+      ("series_radius_exact", None),
+      ("radius_estimate_y", None),
+      ("multistage_end_error", "error: DivergenceError: state diverged")]),
+], ids=["plain", "multistage"])
+def test_blow_up_start_gives_error_rows(text, rows, tmp_path):
+    path = tmp_path / "blow-up.ini"
+    path.write_text(text)
+    config = validate_config(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    # every artifact but the reference trajectory
+    directory = tmp_path / "out" / config.name
+    assert {p.name for p in directory.iterdir()} == {
+        "series.csv", "series_coefficients.csv", "timeseries.svg",
+        "report.txt", "report.csv"}
+    assert "(reference)" not in (directory / "timeseries.svg").read_text()
+    report = run_scenario(config, tmp_path / "again", fmt="csv")
+    assert [row.quantity for row in report.rows] == [q for q, _ in rows]
+    for row, (_, error) in zip(report.rows, rows):
+        if error is None:
+            assert row.passed
+        else:
+            assert not row.passed
+            assert row.source.startswith(error)
+
+
 def test_guard_types_numerical_failures_and_reraises_bugs():
     runner = _Runner(validate_config(MINIMAL_RICCATI), 1e-10)
 
