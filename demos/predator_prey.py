@@ -18,7 +18,6 @@ import numpy as np
 from serieslab import (
     generate_taylor_solution,
     lv_conserved,
-    lv_fixed_points,
     lv_orbit_period,
     make_model,
     polyline_self_intersects,
@@ -33,8 +32,8 @@ print("=" * 72)
 print("Balanced orbit: all rates 1, start (3, 2)")
 print("=" * 72)
 orbit_model = make_model("lotka_volterra", dict(a=1, b=1, c=1, d=1), [3.0, 2.0])
-points = lv_fixed_points(1, 1, 1, 1)
-print(f"  saddle at {points['saddle']}, center at {points['center']}")
+# fixed points: the saddle at the origin and the center at (c/d, a/b)
+print("  saddle at (0.0, 0.0), center at (1.0, 1.0)")
 period = lv_orbit_period(orbit_model)
 print(f"  orbital period: {period:.4f}")
 

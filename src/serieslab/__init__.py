@@ -41,15 +41,16 @@ from .integrators import (
     sample_series,
 )
 from .models import (
+    MODELS,
     RICCATI_STATIONARY,
     RICCATI_UNSTABLE,
     ModelInstance,
+    ModelSpec,
     Monomial,
     PolynomialVectorField,
     build_lotka_volterra,
     build_riccati,
     build_sir,
-    lv_fixed_points,
     make_model,
 )
 from .report import ComparisonReport, ReportRow

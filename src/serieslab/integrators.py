@@ -152,12 +152,12 @@ def reference_integrate(
         events=blow_up,
     )
     if sol.status == 1:
-        last = float(sol.t[-1]) if sol.t.size else 0.0
+        last = float(sol.t[-1]) if len(sol.t) else 0.0
         raise IntegrationError(
             f"solution escaped the divergence limit near t={last:.6g}", last_time=last
         )
     if not sol.success:
-        last = float(sol.t[-1]) if sol.t.size else 0.0
+        last = float(sol.t[-1]) if len(sol.t) else 0.0
         raise IntegrationError(
             f"integrator stopped at t={last:.6g}: {sol.message}", last_time=last
         )

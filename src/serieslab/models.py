@@ -6,7 +6,8 @@ what makes exact power-series recursion possible: products of truncated
 series are again truncated series, with no approximation beyond the
 truncation itself.
 
-Three concrete systems are provided as builders:
+Three concrete systems are provided as builders, each registered with its
+parameter and component names as a ``ModelSpec`` in ``MODELS``:
 
 * a scalar quadratic equation dY/dt = 1 + 2Y - Y^2 with an attracting
   state at 1 + sqrt(2),
@@ -17,6 +18,7 @@ Three concrete systems are provided as builders:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -184,18 +186,18 @@ class ModelInstance:
         for name, value in self.params.items():
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"parameter {name} must be strictly positive")
-        # populations start non-negative; the scalar quadratic model has no
-        # such restriction
-        if self.label in ("lotka_volterra", "sir") and np.any(state < 0):
+        spec = MODELS.get(self.label)
+        if spec is not None and spec.populations and np.any(state < 0):
             raise ValueError(f"{self.label} initial state must be non-negative")
 
 
 def build_riccati(y0: float) -> ModelInstance:
     """Scalar model dY/dt = 1 + 2Y - Y^2 started at Y(0) = y0."""
-    y0 = float(y0)
-    if not math.isfinite(y0):
-        raise ValueError("y0 must be finite")
-    field = PolynomialVectorField(
+    return make_model("riccati", {}, [float(y0)])
+
+
+def _riccati_field() -> PolynomialVectorField:
+    return PolynomialVectorField(
         dimension=1,
         equations=(
             (
@@ -205,7 +207,6 @@ def build_riccati(y0: float) -> ModelInstance:
             ),
         ),
     )
-    return ModelInstance(field, {}, np.array([y0]), "riccati")
 
 
 def build_lotka_volterra(a: float, b: float, c: float, d: float) -> PolynomialVectorField:
@@ -245,37 +246,36 @@ def build_sir(beta: float, gamma: float) -> PolynomialVectorField:
     )
 
 
-def lv_fixed_points(a: float, b: float, c: float, d: float) -> dict[str, tuple[float, float]]:
-    """Fixed points of the predator-prey field: the saddle at the origin
-    and the center at (c/d, a/b)."""
-    for name, value in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"parameter {name} must be strictly positive")
-    return {"saddle": (0.0, 0.0), "center": (c / d, a / b)}
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything a scenario needs to know about one model family."""
+
+    name: str
+    params: tuple[str, ...]       # in the builder's argument order
+    components: tuple[str, ...]   # state names, one per dimension
+    builder: Callable[..., PolynomialVectorField]
+    populations: bool             # components are counts: starts are non-negative
+
+
+MODELS = {spec.name: spec for spec in (
+    ModelSpec("riccati", (), ("y",), _riccati_field, False),
+    ModelSpec("lotka_volterra", ("a", "b", "c", "d"), ("x", "y"),
+              build_lotka_volterra, True),
+    ModelSpec("sir", ("beta", "gamma"), ("x", "y", "z"), build_sir, True),
+)}
 
 
 def make_model(name: str, params: dict[str, float], initial_state) -> ModelInstance:
     """Build a named ModelInstance from a parameter map and initial state.
 
-    This is the constructor used by scenario configs; ``name`` must be one
-    of ``riccati``, ``lotka_volterra`` or ``sir``.
+    This is the constructor used by scenario configs; ``name`` must be a
+    key of ``MODELS`` and ``params`` must hold exactly its parameters.
     """
-    initial_state = np.asarray(initial_state, dtype=float)
-    if name == "riccati":
-        if params:
-            raise ValueError("riccati takes no parameters")
-        if initial_state.shape != (1,):
-            raise ValueError("riccati needs a single initial value")
-        return build_riccati(initial_state[0])
-    if name == "lotka_volterra":
-        missing = {"a", "b", "c", "d"} - set(params)
-        if missing or set(params) != {"a", "b", "c", "d"}:
-            raise ValueError("lotka_volterra needs exactly parameters a, b, c, d")
-        field = build_lotka_volterra(params["a"], params["b"], params["c"], params["d"])
-        return ModelInstance(field, params, initial_state, "lotka_volterra")
-    if name == "sir":
-        if set(params) != {"beta", "gamma"}:
-            raise ValueError("sir needs exactly parameters beta, gamma")
-        field = build_sir(params["beta"], params["gamma"])
-        return ModelInstance(field, params, initial_state, "sir")
-    raise ValueError(f"unknown model name: {name!r}")
+    spec = MODELS.get(name)
+    if spec is None:
+        raise ValueError(f"unknown model name: {name!r}")
+    if set(params) != set(spec.params):
+        raise ValueError(f"{name} needs exactly parameters "
+                         f"{', '.join(spec.params) or '(none)'}")
+    field = spec.builder(*(params[p] for p in spec.params))
+    return ModelInstance(field, params, initial_state, name)

@@ -3,16 +3,20 @@ turns one config into trajectories, figures and a comparison report.
 
 A scenario names a model, a series order, a time grid, optional piecewise
 stepping, and a list of analyses.  Reference values (with tolerances and a
-source note) can be attached to any reported quantity; without one, each
-quantity falls back to a self-consistency check, so every report row always
-carries an explicit pass criterion.
+source note) can be attached to any numeric quantity the scenario reports;
+without one, each quantity falls back to a self-consistency check, so every
+report row always carries an explicit pass criterion.  One table, ``_TABLE``,
+lists every producer of report rows with the models, analysis and runs it
+needs; validation and the runner both read it.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
 
@@ -41,7 +45,7 @@ from .integrators import (
     reference_integrate,
     sample_series,
 )
-from .models import make_model
+from .models import MODELS, make_model
 from .report import (
     ComparisonReport,
     ReportRow,
@@ -52,19 +56,6 @@ from .report import (
 )
 from .series import generate_taylor_solution
 from .svgplot import LinePlot
-
-KNOWN_MODELS = {"riccati": 1, "lotka_volterra": 2, "sir": 3}
-ANALYSES = ("radius", "endpoints", "conserved", "phase_plane")
-COMPONENT_NAMES = {
-    "riccati": ("y",),
-    "lotka_volterra": ("x", "y"),
-    "sir": ("x", "y", "z"),
-}
-REQUIRED_PARAMS = {
-    "riccati": (),
-    "lotka_volterra": ("a", "b", "c", "d"),
-    "sir": ("beta", "gamma"),
-}
 
 #: order used when a radius has to be estimated from coefficients
 ESTIMATE_ORDER = 30
@@ -103,52 +94,6 @@ class ScenarioConfig:
     references: tuple = ()
 
 
-def known_quantities(model_name: str, initial_state, analyses,
-                     has_multistage: bool) -> set[str]:
-    """Quantity names a scenario can report, used to validate references."""
-    q: set[str] = set()
-    any_rows = bool(analyses) or has_multistage
-    if model_name == "riccati":
-        if any_rows:
-            q.add("exact_final_state")
-        if "radius" in analyses:
-            q |= {"series_radius_exact", "radius_estimate_y"}
-            if initial_state and float(initial_state[0]) == 0.0:
-                q.add("multistage_radius_min")
-        if has_multistage:
-            q |= {"multistage_end_error", "multistage_final_state"}
-    elif model_name == "lotka_volterra":
-        if "radius" in analyses:
-            q |= {"radius_estimate_x", "radius_estimate_y"}
-        if "conserved" in analyses:
-            q |= {
-                "conserved_drift_reference",
-                "conserved_violation_series",
-                "reference_stays_positive",
-            }
-        if "phase_plane" in analyses:
-            q |= {"series_curve_self_intersects", "exact_orbit_self_intersects"}
-        if has_multistage:
-            q.add("multistage_vs_reference")
-    elif model_name == "sir":
-        if any_rows:
-            q |= {"series_population_drift", "reference_population_drift"}
-        if "radius" in analyses:
-            q |= {"radius_estimate_x", "radius_estimate_y", "radius_estimate_z"}
-        if "endpoints" in analyses:
-            q |= {
-                "x_limit",
-                "x_over",
-                "x_peak",
-                "y_peak",
-                "endpoint_ordering",
-                "epidemic_occurs",
-            }
-        if has_multistage:
-            q.add("multistage_vs_reference")
-    return q
-
-
 def validate_config(raw: str):
     """Parse and validate a scenario config.
 
@@ -168,31 +113,23 @@ def validate_config(raw: str):
             return parser.get(section, option)
         return default
 
-    def get_float(section, option, default=None):
+    def get_number(section, option, default=None, cast=float):
         text = get(section, option)
         if text is None:
             return default
         try:
-            return float(text)
+            return cast(text)
         except ValueError:
-            errors.append(f"{section}.{option}: not a number: {text!r}")
-            return None
-
-    def get_int(section, option, default=None):
-        text = get(section, option)
-        if text is None:
-            return default
-        try:
-            return int(text)
-        except ValueError:
-            errors.append(f"{section}.{option}: not an integer: {text!r}")
+            what = "a number" if cast is float else "an integer"
+            errors.append(f"{section}.{option}: not {what}: {text!r}")
             return None
 
     name = (get("scenario", "name") or "").strip()
     if not name:
         errors.append("scenario.name: required")
     model_name = (get("scenario", "model") or "").strip()
-    if model_name not in KNOWN_MODELS:
+    spec = MODELS.get(model_name)
+    if spec is None:
         errors.append(f"scenario.model: unknown name {model_name!r}")
 
     state_text = get("model", "initial_state", "")
@@ -201,24 +138,24 @@ def validate_config(raw: str):
         initial_state = tuple(float(v) for v in state_text.split(",") if v.strip())
     except ValueError:
         errors.append(f"model.initial_state: not a number list: {state_text!r}")
-    if model_name in KNOWN_MODELS:
-        dim = KNOWN_MODELS[model_name]
+    if spec is not None:
+        dim = len(spec.components)
         if len(initial_state) != dim:
             errors.append(
                 f"model.initial_state: expected {dim} component(s) for "
                 f"{model_name}, got {len(initial_state)}"
             )
-        elif model_name in ("lotka_volterra", "sir") and any(v < 0 for v in initial_state):
+        elif spec.populations and any(v < 0 for v in initial_state):
             errors.append("model.initial_state: components must be non-negative")
 
     params: dict = {}
     if parser.has_section("model.params"):
         for key in parser.options("model.params"):
-            value = get_float("model.params", key)
+            value = get_number("model.params", key)
             if value is not None:
                 params[key] = value
-    if model_name in KNOWN_MODELS:
-        required = set(REQUIRED_PARAMS[model_name])
+    if spec is not None:
+        required = set(spec.params)
         missing = required - set(params)
         extra = set(params) - required
         for key in sorted(missing):
@@ -229,14 +166,14 @@ def validate_config(raw: str):
             if not params[key] > 0:
                 errors.append(f"model.params.{key}: must be positive")
 
-    series_order = get_int("series", "order", 5)
+    series_order = get_number("series", "order", 5, int)
     if series_order is not None and series_order < 1:
         errors.append("series.order: must be at least 1")
 
     multistage = None
     if parser.has_section("multistage"):
-        ms_order = get_int("multistage", "order", 5)
-        ms_step = get_float("multistage", "step")
+        ms_order = get_number("multistage", "order", 5, int)
+        ms_step = get_number("multistage", "step")
         if ms_step is None:
             errors.append("multistage.step: required")
         elif not ms_step > 0:
@@ -246,12 +183,12 @@ def validate_config(raw: str):
         if ms_order is not None and ms_step is not None and ms_step > 0:
             multistage = MultistageSettings(ms_order, ms_step)
 
-    t_end = get_float("grid", "t_end")
+    t_end = get_number("grid", "t_end")
     if t_end is None:
         errors.append("grid.t_end: required")
     elif not t_end > 0:
         errors.append("grid.t_end: must be positive")
-    samples = get_int("grid", "samples", 401)
+    samples = get_number("grid", "samples", 401, int)
     if samples is not None and samples < 2:
         errors.append("grid.samples: must be at least 2")
 
@@ -260,15 +197,17 @@ def validate_config(raw: str):
     for analysis in analyses:
         if analysis not in ANALYSES:
             errors.append(f"analyses.items: unknown analysis {analysis!r}")
-        elif analysis == "endpoints" and model_name != "sir":
-            errors.append("analyses.items: endpoints requires sir")
-        elif analysis in ("conserved", "phase_plane") and model_name != "lotka_volterra":
-            errors.append(f"analyses.items: {analysis} requires lotka_volterra")
+        elif model_name not in ANALYSES[analysis]:
+            errors.append(f"analyses.items: {analysis} requires "
+                          f"{' or '.join(ANALYSES[analysis])}")
 
     references = []
     if parser.has_section("references"):
-        allowed = known_quantities(model_name, initial_state, analyses,
-                                   multistage is not None)
+        components = spec.components if spec else ()
+        allowed = {key.format(c=c)
+                   for entry in _enabled(model_name, analyses,
+                                         multistage is not None, initial_state)
+                   for key in entry.refs for c in components}
         for key in parser.options("references"):
             raw_value = parser.get("references", key)
             parts = [p.strip() for p in raw_value.split(",", 3)]
@@ -340,361 +279,272 @@ def _restrict(trajectory: Trajectory, times) -> Trajectory:
                       trajectory.provenance, dict(trajectory.meta))
 
 
+def _near(reference, tol, kind, source):
+    """Default check: within ``tol`` (abs or rel) of ``reference``."""
+    return partial(compare_row, reference=reference, tol=tol, kind=kind,
+                   source=source)
+
+
+def _limit(limit, source, direction="below"):
+    """Default check: below (or above) ``limit``."""
+    return partial(threshold_row, limit=limit, source=source,
+                   direction=direction)
+
+
+def _check(passed, criterion, source):
+    """Default check decided by the producer, with no reference value."""
+    return lambda quantity, computed: ReportRow(
+        quantity, computed, None, None, passed, criterion, source)
+
+
 class _Runner:
     def __init__(self, config: ScenarioConfig, tol: float):
         self.config = config
         self.tol = tol
         self.model = make_model(config.model_name, config.params,
                                 config.initial_state)
-        self.names = COMPONENT_NAMES[config.model_name]
+        self.names = MODELS[config.model_name].components
         self.grid = np.linspace(0.0, config.t_end, config.samples)
         self.refs = {rv.quantity: rv for rv in config.references}
         self.rows: list[ReportRow] = []
-        self.series_solution = generate_taylor_solution(
-            self.model, config.series_order)
-        self.series_tr = sample_series(self.series_solution, self.grid)
+        # a run that fails numerically is kept here under its name; the
+        # producers that need it report the failure, the others go on
+        self.failures: dict[str, Exception] = {}
+        self.series_solution = self.attempt(
+            "series", generate_taylor_solution, self.model, config.series_order)
+        self.series_tr = (None if self.series_solution is None
+                          else sample_series(self.series_solution, self.grid))
         self.multistage_tr = None
-        self.multistage_failure = None
         nodes = self.grid
         if config.multistage:
-            try:
-                self.multistage_tr = multistage_taylor(
-                    self.model, config.multistage.order, config.multistage.step,
-                    config.t_end)
-            except NUMERICAL_FAILURES as exc:
-                # reported as the multistage row; the rest of the run goes on
-                self.multistage_failure = exc
-            else:
+            self.multistage_tr = self.attempt(
+                "multistage", multistage_taylor, self.model,
+                config.multistage.order, config.multistage.step, config.t_end)
+            if self.multistage_tr is not None:
                 nodes = np.union1d(self.grid, self.multistage_tr.times)
-        self.reference_tr = None
-        self.reference_nodes = None
-        self.reference_failure = None
+        self.reference_tr = self.reference_nodes = None
         # one solve serves both grids: solve_ivp's steps do not depend on
         # t_eval, so each grid reads the same dense output as a solve of
         # its own would
-        try:
-            solved = reference_integrate(
-                self.model, config.t_end, tol, grid=nodes,
-                atol=_lv_atol(self.model))
-        except NUMERICAL_FAILURES as exc:
-            # a blow-up start: reported as the rows that read the reference
-            self.reference_failure = exc
-        else:
+        solved = self.attempt("reference", reference_integrate, self.model,
+                              config.t_end, tol, grid=nodes,
+                              atol=_lv_atol(self.model))
+        if solved is not None:
             self.reference_tr = _restrict(solved, self.grid)
             if self.multistage_tr is not None:
                 self.reference_nodes = _restrict(solved,
                                                  self.multistage_tr.times)
 
-    # -- row helpers -----------------------------------------------------
+    # -- runs and rows ---------------------------------------------------
+
+    def attempt(self, run, compute, *args, **kwargs):
+        """``compute(*args, **kwargs)``, or None with a numerical failure
+        recorded under the name of the ``run``."""
+        try:
+            return compute(*args, **kwargs)
+        except NUMERICAL_FAILURES as exc:
+            self.failures[run] = exc
+            return None
 
     def guard(self, quantity, producer, *needs):
         """Add the producer's rows, or one error row if it fails
-        numerically or if a run it ``needs`` (the failure of the reference
-        or multistage run, None when that run succeeded) failed; a
-        programming error (TypeError, KeyError, ...) is not a result and
-        propagates."""
-        failure = next((exc for exc in needs if exc is not None), None)
-        if failure is not None:
-            self.rows.append(error_row(quantity, failure))
-            return
-        try:
-            rows = producer()
-        except NUMERICAL_FAILURES as exc:
-            self.rows.append(error_row(quantity, exc))
-            return
-        self.rows.extend(rows)
+        numerically or if a run it ``needs`` (series, multistage or
+        reference) failed; a programming error (TypeError, KeyError, ...)
+        is not a result and propagates."""
+        failure = next((self.failures[run] for run in needs
+                        if run in self.failures), None)
+        if failure is None:
+            try:
+                self.rows.extend(producer())
+                return
+            except NUMERICAL_FAILURES as exc:
+                failure = exc
+        self.rows.append(error_row(quantity, failure))
 
-    def with_reference(self, quantity, computed, default_reference,
-                       default_tol, default_kind, default_source):
+    def row(self, quantity, computed, default):
+        """The comparison with the configured reference for ``quantity``,
+        else ``default(quantity, computed)``, the check made without one."""
         rv = self.refs.get(quantity)
         if rv is not None:
             return compare_row(quantity, computed, rv.value, rv.tolerance,
                                rv.kind, rv.source)
-        return compare_row(quantity, computed, default_reference, default_tol,
-                           default_kind, default_source)
+        return default(quantity, computed)
 
-    def with_threshold(self, quantity, computed, default_limit, source,
-                       direction="below"):
-        rv = self.refs.get(quantity)
-        if rv is not None:
-            return compare_row(quantity, computed, rv.value, rv.tolerance,
-                               rv.kind, rv.source)
-        return threshold_row(quantity, computed, default_limit, source,
-                             direction)
+    @cached_property
+    def exact_radius(self):
+        # one closed-form radius serves the exact row and the estimate's check
+        return riccati_radius(float(self.model.initial_state[0])).radius
 
-    # -- producers -------------------------------------------------------
+    # -- producers, each listed in _TABLE --------------------------------
 
-    def riccati_rows(self):
+    def exact_final_rows(self):
         y0 = float(self.model.initial_state[0])
+        reference = float(self.reference_tr.states[-1, 0])
+        tol_abs = max(1e-8, 1e3 * self.tol * max(1.0, abs(reference)))
+        return [self.row(
+            "exact_final_state", riccati_exact(y0, self.config.t_end),
+            _near(reference, tol_abs, "abs", "reference integrator end state"))]
 
-        def exact_final():
-            computed = riccati_exact(y0, self.config.t_end)
-            reference = float(self.reference_tr.states[-1, 0])
-            tol_abs = max(1e-8, 1e3 * self.tol * max(1.0, abs(reference)))
-            return [self.with_reference(
-                "exact_final_state", computed, reference, tol_abs, "abs",
-                "reference integrator end state")]
+    def exact_radius_rows(self):
+        radius = self.exact_radius
+        return [self.row("series_radius_exact", radius, _check(
+            math.isfinite(radius) and radius > 0 or radius == math.inf,
+            "radius is positive", "closed-form pole location"))]
 
-        self.guard("exact_final_state", exact_final, self.reference_failure)
+    def estimate_rows(self, default=None):
+        """The trailing-ratio radius of each component; a component whose
+        tail admits no ratio test becomes its own error row."""
+        out = []
+        est_sol = generate_taylor_solution(self.model, ESTIMATE_ORDER)
+        for name, comp in zip(self.names, est_sol.components):
+            quantity = f"radius_estimate_{name}"
+            try:
+                est = estimate_radius(comp).radius
+            except NotEstimableError as exc:
+                out.append(error_row(quantity, exc))
+                continue
+            out.append(self.row(quantity, est, default or _check(
+                math.isfinite(est) and est > 0,
+                "estimate is finite and positive",
+                f"trailing-ratio estimate at order {ESTIMATE_ORDER}")))
+        return out
 
-        if "radius" in self.config.analyses:
-            def radius_rows():
-                rows = []
-                exact_rad = riccati_radius(y0).radius
-                rv = self.refs.get("series_radius_exact")
-                if rv is not None:
-                    rows.append(compare_row("series_radius_exact", exact_rad,
-                                            rv.value, rv.tolerance, rv.kind,
-                                            rv.source))
-                else:
-                    rows.append(ReportRow(
-                        "series_radius_exact", exact_rad, None, None,
-                        math.isfinite(exact_rad) and exact_rad > 0
-                        or exact_rad == math.inf,
-                        "radius is positive", "closed-form pole location"))
-                est_sol = generate_taylor_solution(self.model, ESTIMATE_ORDER)
-                est = estimate_radius(est_sol.components[0]).radius
-                rows.append(self.with_reference(
-                    "radius_estimate_y", est, exact_rad, 0.15, "rel",
-                    "closed-form radius (ratio test should land nearby)"))
-                return rows
+    def riccati_estimate_rows(self):
+        return self.estimate_rows(_near(
+            self.exact_radius, 0.15, "rel",
+            "closed-form radius (ratio test should land nearby)"))
 
-            self.guard("series_radius_exact", radius_rows)
+    def restart_min_rows(self):
+        span = max(10.0, self.config.t_end)
+        coarse = np.linspace(0.0, span, 2001)
+        values = [riccati_multistage_radius(t).radius for t in coarse]
+        best = minimize_scalar(
+            lambda t: riccati_multistage_radius(t).radius,
+            bounds=(0.0, span), method="bounded", options={"xatol": 1e-12})
+        computed = min(float(np.min(values)), float(best.fun))
+        return [self.row("multistage_radius_min", computed, _near(
+            MULTISTAGE_RADIUS_FLOOR, 1e-3, "rel",
+            "analytic lower bound sqrt(2)*pi/4"))]
 
-            if y0 == 0.0:
-                def restart_min():
-                    span = max(10.0, self.config.t_end)
-                    coarse = np.linspace(0.0, span, 2001)
-                    values = [riccati_multistage_radius(t).radius for t in coarse]
-                    best = minimize_scalar(
-                        lambda t: riccati_multistage_radius(t).radius,
-                        bounds=(0.0, span), method="bounded",
-                        options={"xatol": 1e-12})
-                    computed = min(float(np.min(values)), float(best.fun))
-                    return [self.with_reference(
-                        "multistage_radius_min", computed,
-                        MULTISTAGE_RADIUS_FLOOR, 1e-3, "rel",
-                        "analytic lower bound sqrt(2)*pi/4")]
+    def riccati_multistage_rows(self):
+        end = float(self.multistage_tr.states[-1, 0])
+        exact_end = riccati_exact(float(self.model.initial_state[0]),
+                                  self.config.t_end)
+        rows = [self.row("multistage_end_error", abs(end - exact_end), _limit(
+            1e-4, "piecewise series against the closed form"))]
+        if "multistage_final_state" in self.refs:
+            rows.append(self.row("multistage_final_state", end, None))
+        return rows
 
-                self.guard("multistage_radius_min", restart_min)
+    def multistage_vs_reference_rows(self):
+        err = float(np.max(np.abs(
+            self.multistage_tr.states - self.reference_nodes.states)))
+        return [self.row("multistage_vs_reference", err, _limit(
+            1e-4, "piecewise series against the reference integrator"))]
 
-        if self.config.multistage:
-            def multistage_rows():
-                rows = []
-                exact_end = riccati_exact(y0, self.config.t_end)
-                err = abs(float(self.multistage_tr.states[-1, 0]) - exact_end)
-                rows.append(self.with_threshold(
-                    "multistage_end_error", err, 1e-4,
-                    "piecewise series against the closed form"))
-                rv = self.refs.get("multistage_final_state")
-                if rv is not None:
-                    rows.append(compare_row(
-                        "multistage_final_state",
-                        float(self.multistage_tr.states[-1, 0]),
-                        rv.value, rv.tolerance, rv.kind, rv.source))
-                return rows
-
-            self.guard("multistage_end_error", multistage_rows,
-                       self.multistage_failure)
-
-    def estimate_rows(self):
-        def rows():
-            out = []
-            est_sol = generate_taylor_solution(self.model, ESTIMATE_ORDER)
-            for name, comp in zip(self.names, est_sol.components):
-                quantity = f"radius_estimate_{name}"
-                try:
-                    est = estimate_radius(comp).radius
-                except NotEstimableError as exc:
-                    out.append(error_row(quantity, exc))
-                    continue
-                rv = self.refs.get(quantity)
-                if rv is not None:
-                    out.append(compare_row(quantity, est, rv.value,
-                                           rv.tolerance, rv.kind, rv.source))
-                else:
-                    out.append(ReportRow(
-                        quantity, est, None, None,
-                        math.isfinite(est) and est > 0,
-                        "estimate is finite and positive",
-                        "trailing-ratio estimate at order "
-                        f"{ESTIMATE_ORDER}"))
-            return out
-
-        self.guard("radius_estimate", rows)
+    def population_rows(self):
+        coeff = np.vstack([c.coefficients
+                           for c in self.series_solution.components])
+        per_order = np.abs(coeff[:, 1:].sum(axis=0))
+        drift_series = float(per_order.max()) if per_order.size else 0.0
+        # rounding in the coefficient sums scales with the largest
+        # coefficient, so fast parameter sets get a proportionate floor
+        limit = max(1e-12, 16 * np.finfo(float).eps * float(np.abs(coeff).max()))
+        total0 = float(np.sum(self.model.initial_state))
+        drift_ref = float(np.max(np.abs(
+            self.reference_tr.states.sum(axis=1) - total0)))
+        return [
+            self.row("series_population_drift", drift_series, _limit(
+                limit, "coefficient sums vanish order by order")),
+            self.row("reference_population_drift", drift_ref, _limit(
+                1e-8, "total population along the reference trajectory")),
+        ]
 
     def endpoints_rows(self):
-        def rows():
-            out = []
-            model = self.model
-            ends = sir_endpoints(model)
-            x0 = float(model.initial_state[0])
-            y0 = float(model.initial_state[1])
-            rho = model.params["gamma"] / model.params["beta"]
-            resid = abs(sir_y_of_x(ends.x_limit, model))
-            rv = self.refs.get("x_limit")
-            if rv is not None:
-                out.append(compare_row("x_limit", ends.x_limit, rv.value,
-                                       rv.tolerance, rv.kind, rv.source))
-            else:
-                # the root is located to 1e-12 in x; the admissible residual
-                # scales with the slope of the die-out equation there
-                limit = max(1e-9, 1e-11 * abs(rho / ends.x_limit - 1.0))
-                out.append(ReportRow(
-                    "x_limit", ends.x_limit, None, None, resid <= limit,
-                    f"|infectives(x_limit)| <= {limit:g}",
-                    "root of the die-out equation"))
-            out.append(bool_row("epidemic_occurs", ends.epidemic_occurs,
-                                x0 > rho, "threshold x0 > gamma/beta"))
-            if ends.epidemic_occurs:
-                rv = self.refs.get("x_over")
-                if rv is not None:
-                    out.append(compare_row("x_over", ends.x_over, rv.value,
-                                           rv.tolerance, rv.kind, rv.source))
-                else:
-                    resid_over = abs(x0 - ends.x_over
-                                     + rho * math.log(ends.x_over / x0))
-                    limit = max(1e-9, 1e-11 * abs(rho / ends.x_over - 1.0))
-                    out.append(ReportRow(
-                        "x_over", ends.x_over, None, None,
-                        resid_over <= limit,
-                        f"|residual of the return equation| <= {limit:g}",
-                        "nontrivial root of the return equation"))
-                out.append(self.with_reference(
-                    "x_peak", ends.x_peak, rho, 0.0, "abs",
-                    "peak location gamma/beta"))
-                xg = np.geomspace(ends.x_limit * 1.001, x0, 4001)
-                grid_max = float(np.max(sir_curves(xg, model)[0]))
-                rv = self.refs.get("y_peak")
-                if rv is not None:
-                    out.append(compare_row("y_peak", ends.y_peak, rv.value,
-                                           rv.tolerance, rv.kind, rv.source))
-                else:
-                    out.append(ReportRow(
-                        "y_peak", ends.y_peak, None, None,
-                        grid_max <= ends.y_peak + 1e-9,
-                        "no larger infective count on a dense susceptible grid",
-                        "infectives evaluated at the peak"))
-                out.append(bool_row(
-                    "endpoint_ordering",
-                    ends.x_limit < ends.x_over < ends.x_peak < x0,
-                    True, "die-out, return, peak and start must be ordered"))
-            return out
-
-        self.guard("endpoints", rows)
-
-    def sir_population_rows(self):
-        def rows():
-            coeff = np.vstack([c.coefficients
-                               for c in self.series_solution.components])
-            per_order = np.abs(coeff[:, 1:].sum(axis=0))
-            drift_series = float(per_order.max()) if per_order.size else 0.0
-            # rounding in the coefficient sums scales with the largest
-            # coefficient, so fast parameter sets get a proportionate floor
-            limit = max(1e-12,
-                        16 * np.finfo(float).eps * float(np.abs(coeff).max()))
-            total0 = float(np.sum(self.model.initial_state))
-            drift_ref = float(np.max(np.abs(
-                self.reference_tr.states.sum(axis=1) - total0)))
-            return [
-                self.with_threshold(
-                    "series_population_drift", drift_series, limit,
-                    "coefficient sums vanish order by order"),
-                self.with_threshold(
-                    "reference_population_drift", drift_ref, 1e-8,
-                    "total population along the reference trajectory"),
+        model = self.model
+        ends = sir_endpoints(model)
+        x0 = float(model.initial_state[0])
+        rho = model.params["gamma"] / model.params["beta"]
+        resid = abs(sir_y_of_x(ends.x_limit, model))
+        # the root is located to 1e-12 in x; the admissible residual
+        # scales with the slope of the die-out equation there
+        limit = max(1e-9, 1e-11 * abs(rho / ends.x_limit - 1.0))
+        out = [
+            self.row("x_limit", ends.x_limit, _check(
+                resid <= limit, f"|infectives(x_limit)| <= {limit:g}",
+                "root of the die-out equation")),
+            bool_row("epidemic_occurs", ends.epidemic_occurs, x0 > rho,
+                     "threshold x0 > gamma/beta"),
+        ]
+        if ends.epidemic_occurs:
+            resid_over = abs(x0 - ends.x_over + rho * math.log(ends.x_over / x0))
+            limit = max(1e-9, 1e-11 * abs(rho / ends.x_over - 1.0))
+            xg = np.geomspace(ends.x_limit * 1.001, x0, 4001)
+            grid_max = float(np.max(sir_curves(xg, model)[0]))
+            out += [
+                self.row("x_over", ends.x_over, _check(
+                    resid_over <= limit,
+                    f"|residual of the return equation| <= {limit:g}",
+                    "nontrivial root of the return equation")),
+                self.row("x_peak", ends.x_peak, _near(
+                    rho, 0.0, "abs", "peak location gamma/beta")),
+                self.row("y_peak", ends.y_peak, _check(
+                    grid_max <= ends.y_peak + 1e-9,
+                    "no larger infective count on a dense susceptible grid",
+                    "infectives evaluated at the peak")),
+                bool_row("endpoint_ordering",
+                         ends.x_limit < ends.x_over < ends.x_peak < x0, True,
+                         "die-out, return, peak and start must be ordered"),
             ]
-
-        self.guard("population_conservation", rows, self.reference_failure)
+        return out
 
     def conserved_rows(self):
         p = self.model.params
-        x0, y0 = (float(v) for v in self.model.initial_state)
-
-        def rows():
-            out = []
-            h0 = lv_conserved(x0, y0, p["a"], p["b"], p["c"], p["d"])
-            drift = max(
-                abs(lv_conserved(float(x), float(y),
-                                 p["a"], p["b"], p["c"], p["d"]) - h0)
-                for x, y in self.reference_tr.states)
-            out.append(self.with_threshold(
-                "conserved_drift_reference", drift, 1e-6,
-                "first integral along the reference trajectory"))
-            # leaving the positive quadrant is an unbounded violation: the
-            # conserved level set never touches the axes
-            violation = 0.0
-            for t, (x, y) in zip(self.series_tr.times, self.series_tr.states):
-                if t > min(4.0, self.config.t_end):
-                    break
-                if x <= 0 or y <= 0:
-                    violation = math.inf
-                    break
-                violation = max(violation, abs(
-                    lv_conserved(float(x), float(y),
-                                 p["a"], p["b"], p["c"], p["d"]) - h0))
-            out.append(self.with_threshold(
-                "conserved_violation_series", violation, 1.0,
-                "series points abandon the conserved curve", "above"))
-            out.append(bool_row(
-                "reference_stays_positive",
-                bool(np.all(self.reference_tr.states > 0)), True,
-                "true orbits stay in the open positive quadrant"))
-            return out
-
-        self.guard("conserved", rows, self.reference_failure)
+        rates = (p["a"], p["b"], p["c"], p["d"])
+        h0 = lv_conserved(*(float(v) for v in self.model.initial_state), *rates)
+        drift = max(abs(lv_conserved(float(x), float(y), *rates) - h0)
+                    for x, y in self.reference_tr.states)
+        # leaving the positive quadrant is an unbounded violation: the
+        # conserved level set never touches the axes
+        violation = 0.0
+        for t, (x, y) in zip(self.series_tr.times, self.series_tr.states):
+            if t > min(4.0, self.config.t_end):
+                break
+            if x <= 0 or y <= 0:
+                violation = math.inf
+                break
+            violation = max(violation, abs(
+                lv_conserved(float(x), float(y), *rates) - h0))
+        return [
+            self.row("conserved_drift_reference", drift, _limit(
+                1e-6, "first integral along the reference trajectory")),
+            self.row("conserved_violation_series", violation, _limit(
+                1.0, "series points abandon the conserved curve", "above")),
+            bool_row("reference_stays_positive",
+                     bool(np.all(self.reference_tr.states > 0)), True,
+                     "true orbits stay in the open positive quadrant"),
+        ]
 
     def phase_plane_rows(self):
-        def rows():
-            out = [bool_row(
-                "series_curve_self_intersects",
-                polyline_self_intersects(self.series_tr.states), True,
-                "series phase curves cross themselves beyond the radius")]
-            _, orbit = lv_closed_orbit(self.model, self.tol)
-            out.append(bool_row(
-                "exact_orbit_self_intersects",
-                polyline_self_intersects(orbit.states), False,
-                "a true closed orbit cannot cross itself"))
-            return out
-
-        self.guard("phase_plane", rows)
-
-    def generic_multistage_rows(self):
-        def rows():
-            err = float(np.max(np.abs(
-                self.multistage_tr.states - self.reference_nodes.states)))
-            return [self.with_threshold(
-                "multistage_vs_reference", err, 1e-4,
-                "piecewise series against the reference integrator")]
-
-        self.guard("multistage_vs_reference", rows, self.multistage_failure,
-                   self.reference_failure)
+        _, orbit = lv_closed_orbit(self.model, self.tol)
+        return [
+            bool_row("series_curve_self_intersects",
+                     polyline_self_intersects(self.series_tr.states), True,
+                     "series phase curves cross themselves beyond the radius"),
+            bool_row("exact_orbit_self_intersects",
+                     polyline_self_intersects(orbit.states), False,
+                     "a true closed orbit cannot cross itself"),
+        ]
 
     # -- driver ----------------------------------------------------------
 
     def run(self) -> ComparisonReport:
         config = self.config
-        # an empty analysis list with no multistage section means
-        # trajectories only: the report table stays empty
-        any_rows = bool(config.analyses) or config.multistage is not None
-        if config.model_name == "riccati":
-            if any_rows:
-                self.riccati_rows()
-        else:
-            if "radius" in config.analyses:
-                self.estimate_rows()
-            if config.multistage:
-                self.generic_multistage_rows()
-        if config.model_name == "sir":
-            if any_rows:
-                self.sir_population_rows()
-            if "endpoints" in config.analyses:
-                self.endpoints_rows()
-        if config.model_name == "lotka_volterra":
-            if "conserved" in config.analyses:
-                self.conserved_rows()
-            if "phase_plane" in config.analyses:
-                self.phase_plane_rows()
+        for entry in _enabled(config.model_name, config.analyses,
+                              config.multistage is not None,
+                              config.initial_state):
+            self.guard(entry.quantity, partial(entry.produce, self),
+                       *entry.needs)
         meta = {
             "model": config.model_name,
             "params": " ".join(f"{k}={v:g}" for k, v in
@@ -708,6 +558,81 @@ class _Runner:
             meta["multistage"] = (f"order={config.multistage.order} "
                                   f"step={config.multistage.step:g}")
         return ComparisonReport(config.name, self.rows, meta)
+
+
+#: items other than an analysis name: "any rows" runs whenever some
+#: analysis is listed or a [multistage] section is present
+_ANY_ROWS, _MULTISTAGE = "any rows", "[multistage]"
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    produce: Callable          # a _Runner method returning report rows
+    item: str                  # [analyses] item, _ANY_ROWS or _MULTISTAGE
+    models: tuple[str, ...]
+    quantity: str              # the row reporting a failure
+    refs: tuple[str, ...] = ()  # [references] keys; {c} is each component
+    needs: tuple[str, ...] = ()  # runs read: series, multistage, reference
+    start: Callable | None = None  # further condition on the initial state
+
+
+def _starts_at_zero(state) -> bool:
+    # the restart radius is known in closed form only along this solution
+    return len(state) > 0 and float(state[0]) == 0.0
+
+
+#: every producer, in report-row order
+_TABLE = (
+    _Analysis(_Runner.exact_final_rows, _ANY_ROWS, ("riccati",),
+              "exact_final_state", ("exact_final_state",), ("reference",)),
+    _Analysis(_Runner.exact_radius_rows, "radius", ("riccati",),
+              "series_radius_exact", ("series_radius_exact",)),
+    _Analysis(_Runner.riccati_estimate_rows, "radius", ("riccati",),
+              "radius_estimate", ("radius_estimate_{c}",)),
+    _Analysis(_Runner.estimate_rows, "radius", ("lotka_volterra", "sir"),
+              "radius_estimate", ("radius_estimate_{c}",)),
+    _Analysis(_Runner.restart_min_rows, "radius", ("riccati",),
+              "multistage_radius_min", ("multistage_radius_min",),
+              start=_starts_at_zero),
+    _Analysis(_Runner.riccati_multistage_rows, _MULTISTAGE, ("riccati",),
+              "multistage_end_error",
+              ("multistage_end_error", "multistage_final_state"),
+              ("multistage",)),
+    _Analysis(_Runner.multistage_vs_reference_rows, _MULTISTAGE,
+              ("lotka_volterra", "sir"), "multistage_vs_reference",
+              ("multistage_vs_reference",), ("multistage", "reference")),
+    _Analysis(_Runner.population_rows, _ANY_ROWS, ("sir",),
+              "population_conservation",
+              ("series_population_drift", "reference_population_drift"),
+              ("series", "reference")),
+    _Analysis(_Runner.endpoints_rows, "endpoints", ("sir",), "endpoints",
+              ("x_limit", "x_over", "x_peak", "y_peak")),
+    _Analysis(_Runner.conserved_rows, "conserved", ("lotka_volterra",),
+              "conserved",
+              ("conserved_drift_reference", "conserved_violation_series"),
+              ("series", "reference")),
+    _Analysis(_Runner.phase_plane_rows, "phase_plane", ("lotka_volterra",),
+              "phase_plane", needs=("series",)),
+)
+
+#: each [analyses] item and the models it applies to
+ANALYSES = {
+    item: tuple(m for m in MODELS
+                if any(e.item == item and m in e.models for e in _TABLE))
+    for item in dict.fromkeys(e.item for e in _TABLE)
+    if item not in (_ANY_ROWS, _MULTISTAGE)
+}
+
+
+def _enabled(model_name, analyses, multistage: bool, initial_state):
+    """The table entries a scenario runs, in report-row order."""
+    switched_on = {_ANY_ROWS: bool(analyses) or multistage,
+                   _MULTISTAGE: multistage}
+    for entry in _TABLE:
+        on = switched_on.get(entry.item, entry.item in analyses)
+        if (on and model_name in entry.models
+                and (entry.start is None or entry.start(initial_state))):
+            yield entry
 
 
 def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "both",
@@ -739,15 +664,16 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "both",
             if tr is not None:
                 write_csv(directory / f"{stem}.csv", columns,
                           np.column_stack([tr.times, tr.states]), traj_meta(tr))
-        coeffs = np.vstack([c.coefficients
-                            for c in runner.series_solution.components])
-        write_csv(
-            directory / "series_coefficients.csv",
-            ["k", *runner.names],
-            [(k, *coeffs[:, k]) for k in range(config.series_order + 1)],
-            meta={"scenario": config.name, "model": config.model_name,
-                  "order": config.series_order},
-        )
+        if runner.series_solution is not None:
+            coeffs = np.vstack([c.coefficients
+                                for c in runner.series_solution.components])
+            write_csv(
+                directory / "series_coefficients.csv",
+                ["k", *runner.names],
+                [(k, *coeffs[:, k]) for k in range(config.series_order + 1)],
+                meta={"scenario": config.name, "model": config.model_name,
+                      "order": config.series_order},
+            )
     if fmt in ("svg", "both"):
         plot = LinePlot(f"Scenario {config.name}", "t", "state")
         reference = runner.reference_tr

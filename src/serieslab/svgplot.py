@@ -74,11 +74,17 @@ class LinePlot:
             keep = np.isfinite(x) & np.isfinite(y)
             xs.append(x[keep])
             ys.append(y[keep])
-        allx = np.concatenate(xs) if xs else np.array([0.0, 1.0])
-        ally = np.concatenate(ys) if ys else np.array([0.0, 1.0])
+        allx = np.concatenate(xs) if xs else np.empty(0)
+        ally = np.concatenate(ys) if ys else np.empty(0)
+        if not allx.size:
+            # no finite point to fit: the unit square
+            allx = ally = np.array([0.0, 1.0])
         def pad(lo, hi):
             if hi <= lo:
                 hi = lo + 1.0
+                if hi == lo:
+                    # past 2**53 adding 1.0 changes nothing: span from zero
+                    lo, hi = min(lo, 0.0), max(lo, 0.0)
             margin = 0.05 * (hi - lo)
             return lo - margin, hi + margin
         xlim = self._xlim or pad(float(allx.min()), float(allx.max()))

@@ -157,6 +157,16 @@ def test_reference_blow_up_raises_with_last_time():
     assert 0.0 <= info.value.last_time < 5.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("y0", [1e200, -1e200])
+def test_reference_failure_before_any_step_raises_integration_error(y0):
+    # DOP853 stops before its first step, when solve_ivp's times are still
+    # a plain list
+    with pytest.raises(IntegrationError, match="integrator stopped at t=0") as info:
+        reference_integrate(build_riccati(y0), 1.0, 1e-10)
+    assert info.value.last_time == 0.0
+
+
 def test_reference_tightening_tolerance_is_stable():
     for model, t_end in ((build_riccati(0.0), 10.0), (lv_case_v(), 20.0),
                          (sir_slow(), 100.0)):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from serieslab.models import (
+    MODELS,
     RICCATI_STATIONARY,
     ModelInstance,
     Monomial,
@@ -9,7 +10,6 @@ from serieslab.models import (
     build_lotka_volterra,
     build_riccati,
     build_sir,
-    lv_fixed_points,
     make_model,
 )
 
@@ -64,25 +64,21 @@ def test_lv_field_case_one_values():
 def test_lv_center_and_saddle_annihilate_field():
     a, b, c, d = 1.0, 1.0, 0.1, 1.0
     field = build_lotka_volterra(a, b, c, d)
-    points = lv_fixed_points(a, b, c, d)
-    assert points["saddle"] == (0.0, 0.0)
-    assert points["center"] == (c / d, a / b)
-    for p in points.values():
+    # the saddle at the origin and the center at (c/d, a/b)
+    for p in ((0.0, 0.0), (c / d, a / b)):
         assert np.max(np.abs(field.evaluate(p))) < 1e-12
 
 
 def test_lv_case_five_evaluation():
     field = build_lotka_volterra(1, 1, 1, 1)
     assert np.allclose(field.evaluate([3.0, 2.0]), [-3.0, 4.0], atol=1e-14)
-    assert lv_fixed_points(1, 1, 1, 1)["center"] == (1.0, 1.0)
+    assert np.array_equal(field.evaluate([1.0, 1.0]), [0.0, 0.0])
 
 
 def test_lv_rejects_non_positive_parameters():
     for bad in ((0, 1, 1, 1), (1, -2, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
         with pytest.raises(ValueError):
             build_lotka_volterra(*bad)
-        with pytest.raises(ValueError):
-            lv_fixed_points(*bad)
 
 
 def test_sir_field_values():
@@ -191,3 +187,24 @@ def test_make_model_round_trips():
         make_model("lotka_volterra", {"a": 1, "b": 2}, [1.0, 1.0])
     with pytest.raises(ValueError):
         make_model("sir", {"beta": 1.0}, [1.0, 1.0, 1.0])
+
+
+def test_model_specs_drive_make_model():
+    assert list(MODELS) == ["riccati", "lotka_volterra", "sir"]
+    for name, spec in MODELS.items():
+        params = {p: 1.0 + i for i, p in enumerate(spec.params)}
+        start = [1.0] * len(spec.components)
+        model = make_model(name, params, start)
+        assert model.label == name
+        assert model.field.dimension == len(spec.components)
+        assert model.field == spec.builder(*params.values())
+        negative = [-1.0] + start[1:]
+        if spec.populations:
+            with pytest.raises(ValueError, match="non-negative"):
+                make_model(name, params, negative)
+        else:
+            assert make_model(name, params, negative).initial_state[0] == -1.0
+    riccati = build_riccati(0.5)
+    assert riccati.field == MODELS["riccati"].builder()
+    assert (riccati.label, riccati.params, riccati.initial_state.tolist()) == (
+        "riccati", {}, [0.5])

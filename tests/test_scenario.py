@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from serieslab.scenario import (
     ScenarioConfig,
     _lv_atol,
     _Runner,
-    known_quantities,
     load_preset,
     preset_names,
     run_scenario,
@@ -126,14 +126,49 @@ bad_format = 1.0
     assert "references.bad_format" in joined
 
 
-def test_known_quantities_catalog():
-    q = known_quantities("riccati", (0.0,), ("radius",), True)
-    assert "multistage_radius_min" in q
-    assert "multistage_end_error" in q
-    q5 = known_quantities("riccati", (5.0,), ("radius",), False)
-    assert "multistage_radius_min" not in q5
-    qs = known_quantities("sir", (20.0, 15.0, 10.0), ("endpoints",), False)
-    assert {"x_limit", "x_over", "series_population_drift"} <= qs
+def reference_case(model, state, params, items, multistage, quantities):
+    text = (f"[scenario]\nname = refs\nmodel = {model}\n\n"
+            f"[model]\ninitial_state = {state}\n\n[model.params]\n")
+    text += "".join(f"{key} = {value}\n" for key, value in params.items())
+    text += f"\n[grid]\nt_end = 1.0\n\n[analyses]\nitems = {items}\n"
+    if multistage:
+        text += "\n[multistage]\norder = 5\nstep = 0.1\n"
+    text += "\n[references]\n"
+    text += "".join(f"{q} = 1.0, 0.0, abs, a value\n" for q in sorted(quantities))
+    return validate_config(text)
+
+
+LV_RATES = {"a": 1, "b": 1, "c": 1, "d": 1}
+SIR_RATES = {"beta": 0.01, "gamma": 0.02}
+
+
+@pytest.mark.parametrize("case, accepted, rejected", [
+    (("riccati", "0.0", {}, "radius", True),
+     {"exact_final_state", "series_radius_exact", "radius_estimate_y",
+      "multistage_radius_min", "multistage_end_error", "multistage_final_state"},
+     {"radius_estimate_x", "multistage_vs_reference"}),
+    (("riccati", "5.0", {}, "radius", False),
+     {"exact_final_state", "series_radius_exact", "radius_estimate_y"},
+     {"multistage_radius_min", "multistage_end_error", "multistage_final_state"}),
+    (("sir", "20, 15, 10", SIR_RATES, "endpoints", False),
+     {"x_limit", "x_over", "x_peak", "y_peak", "series_population_drift",
+      "reference_population_drift"},
+     # boolean rows have no reference to replace
+     {"epidemic_occurs", "endpoint_ordering", "radius_estimate_x",
+      "multistage_vs_reference"}),
+    (("lotka_volterra", "3, 2", LV_RATES, "radius, conserved, phase_plane", True),
+     {"radius_estimate_x", "radius_estimate_y", "conserved_drift_reference",
+      "conserved_violation_series", "multistage_vs_reference"},
+     {"reference_stays_positive", "series_curve_self_intersects",
+      "exact_orbit_self_intersects", "radius_estimate_z", "x_limit"}),
+], ids=["riccati-zero", "riccati-five", "sir-endpoints", "lv"])
+def test_references_name_only_table_quantities(case, accepted, rejected):
+    config = reference_case(*case, accepted)
+    assert isinstance(config, ScenarioConfig), config
+    assert {rv.quantity for rv in config.references} == accepted
+    errors = reference_case(*case, accepted | rejected)
+    assert sorted(errors) == sorted(
+        f"references.{q}: unknown quantity for this scenario" for q in rejected)
 
 
 def test_presets_all_load():
@@ -256,6 +291,45 @@ step = 0.15
 t_end = 9.0
 samples = 301
 """
+
+
+RADIUS_ESTIMATES = {
+    "lotka_volterra": ["radius_estimate_x", "radius_estimate_y"],
+    "sir": ["radius_estimate_x", "radius_estimate_y", "radius_estimate_z"],
+}
+CONSERVED = ["conserved_drift_reference", "conserved_violation_series",
+             "reference_stays_positive"]
+SIR_ROWS = [*RADIUS_ESTIMATES["sir"], "series_population_drift",
+            "reference_population_drift", "x_limit", "epidemic_occurs",
+            "x_over", "x_peak", "y_peak", "endpoint_ordering"]
+
+#: every report row, in order; all of them pass
+ROW_CATALOGUE = {
+    "lv-crash": [*RADIUS_ESTIMATES["lotka_volterra"], *CONSERVED],
+    "lv-orbit": [*RADIUS_ESTIMATES["lotka_volterra"], *CONSERVED,
+                 "series_curve_self_intersects", "exact_orbit_self_intersects"],
+    "riccati-five": ["exact_final_state", "series_radius_exact",
+                     "radius_estimate_y", "multistage_end_error",
+                     "multistage_final_state"],
+    "riccati-zero": ["exact_final_state", "series_radius_exact",
+                     "radius_estimate_y", "multistage_radius_min",
+                     "multistage_end_error", "multistage_final_state"],
+    "sir-fast": SIR_ROWS,
+    "sir-slow": SIR_ROWS,
+    "lv-steps": ["multistage_vs_reference"],
+    "sir-steps": ["multistage_vs_reference", "series_population_drift",
+                  "reference_population_drift"],
+}
+
+
+def test_report_row_catalogue(tmp_path):
+    configs = [load_preset(name) for name in preset_names()]
+    configs += [validate_config(MULTISTAGE_LV), validate_config(MULTISTAGE_SIR)]
+    got = {config.name: [(row.quantity, bool(row.passed)) for row in
+                         run_scenario(config, tmp_path, fmt="csv").rows]
+           for config in configs}
+    assert got == {name: [(q, True) for q in quantities]
+                   for name, quantities in ROW_CATALOGUE.items()}
 
 
 @pytest.mark.parametrize("text", [MULTISTAGE_LV, MULTISTAGE_SIR], ids=["lv", "sir"])
@@ -390,6 +464,46 @@ def test_blow_up_start_gives_error_rows(text, rows, tmp_path):
             assert row.source.startswith(error)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("y0", ["1e200", "-1e200"])
+def test_overflowing_series_becomes_error_rows(y0, tmp_path, capsys):
+    # the order-5 coefficients overflow and DOP853 cannot take a step:
+    # both runs fail, and every row reports why instead of a traceback
+    text = BLOW_UP_RICCATI.replace("initial_state = -1.0",
+                                   f"initial_state = {y0}")
+    path = tmp_path / "huge.ini"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "computation must succeed" in capsys.readouterr().out
+    directory = tmp_path / "out" / "riccati-blow-up"
+    assert {p.name for p in directory.iterdir()} == {
+        "timeseries.svg", "report.txt", "report.csv"}
+    runner = _Runner(validate_config(text), 1e-10)
+    assert sorted(runner.failures) == ["reference", "series"]
+    assert str(runner.failures["series"]) == "coefficients must be finite"
+    report = runner.run()
+    assert [(row.quantity, row.source.split(":")[1].strip())
+            for row in report.rows] == [
+        ("exact_final_state", "IntegrationError"),
+        ("series_radius_exact", "ValueError"),
+        ("radius_estimate", "ValueError"),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_series_run_fails_the_rows_that_read_it(tmp_path):
+    text = MULTISTAGE_LV.replace("3.0, 2.0", "1e200, 1e200") + (
+        "\n[analyses]\nitems = conserved, phase_plane\n")
+    report = run_scenario(validate_config(text), tmp_path, fmt="both")
+    assert [row.quantity for row in report.rows] == [
+        "multistage_vs_reference", "conserved", "phase_plane"]
+    assert not any(row.passed for row in report.rows)
+    for row in report.rows[1:]:
+        assert row.source == "error: ValueError: coefficients must be finite"
+    assert {p.name for p in (tmp_path / "lv-steps").iterdir()} == {
+        "timeseries.svg", "report.txt", "report.csv"}
+
+
 def test_guard_types_numerical_failures_and_reraises_bugs():
     runner = _Runner(validate_config(MINIMAL_RICCATI), 1e-10)
 
@@ -437,10 +551,14 @@ def test_numeric_error_surfaces_as_failed_row(tmp_path):
     config = validate_config(text)
     report = run_scenario(config, tmp_path, fmt="csv")
     assert not report.all_passed
-    failed = [row for row in report.rows if not row.passed]
-    assert failed
-    assert any(row.source.startswith("error: NotEstimableError: ")
-               for row in failed)
+    exact_final, exact_radius, estimate = report.rows
+    assert exact_final.quantity == "exact_final_state" and exact_final.passed
+    # the closed form still holds: a constant solution has no pole
+    assert exact_radius.quantity == "series_radius_exact"
+    assert exact_radius.computed == math.inf and exact_radius.passed
+    assert estimate.quantity == "radius_estimate_y"
+    assert not estimate.passed
+    assert estimate.source.startswith("error: NotEstimableError: ")
 
 
 def test_report_rows_have_explicit_criteria(tmp_path):

@@ -231,6 +231,25 @@ def test_render_matches_per_point_oracle_on_huge_values():
     assert plot.render() == oracle_render(plot)
 
 
+@pytest.mark.parametrize("curves, polylines", [
+    ([([nan, 1.0], [2.0, inf]), ([], [])], 0),
+    ([([1e300, 1e300], [0.0, 1.0])], 1),
+    ([([0.0, 1.0], [-3e20, -3e20])], 1),
+], ids=["no-finite-point", "one-huge-x", "one-huge-y"])
+def test_degenerate_automatic_limits_render(curves, polylines):
+    # no finite point used to raise ValueError, and one shared coordinate
+    # past 2**53 a zero-width span and ZeroDivisionError
+    plot = LinePlot("degenerate", "x", "y")
+    for x, y in curves:
+        plot.add_curve(x, y, "curve")
+    (x0, x1), (y0, y1) = plot._limits()
+    assert x0 < x1 and y0 < y1
+    svg = plot.render()
+    assert svg == oracle_render(plot)
+    assert svg.count("<polyline") == polylines
+    assert "nan" not in svg and "inf" not in svg
+
+
 finite_or_not = st.one_of(
     st.floats(-1e6, 1e6),
     st.sampled_from([nan, inf, -inf, 0.0, -0.0, 1e300, -1e300, 5e-324]),
@@ -247,7 +266,7 @@ def test_render_matches_per_point_oracle_on_random_curves(points, limits):
     if limits:
         plot.set_xlim(-2.0, 3.0)
         plot.set_ylim(-5.0, 5.0)
-    # degenerate automatic limits fail alike in both
+    # degenerate automatic limits give the same outcome in both
     assert outcome(LinePlot.render, plot) == outcome(oracle_render, plot)
 
 
