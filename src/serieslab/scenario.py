@@ -560,13 +560,15 @@ class _Runner:
         return ComparisonReport(config.name, self.rows, meta)
 
 
-#: items other than an analysis name: "any rows" runs whenever some
-#: analysis is listed or a [multistage] section is present
+#: ``_Analysis.item`` values that are not [analyses] names: "any rows"
+#: runs whenever some analysis is listed or a [multistage] section is present
 _ANY_ROWS, _MULTISTAGE = "any rows", "[multistage]"
 
 
 @dataclass(frozen=True)
 class _Analysis:
+    """One producer of report rows, and when and on what it runs."""
+
     produce: Callable          # a _Runner method returning report rows
     item: str                  # [analyses] item, _ANY_ROWS or _MULTISTAGE
     models: tuple[str, ...]
