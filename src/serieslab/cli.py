@@ -13,11 +13,12 @@ Exit codes: 0 all report rows pass, 1 some row failed, 2 bad config/usage.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
 
-from .convergence import NotEstimableError, estimate_radius, riccati_radius
+from .convergence import estimate_radius, riccati_radius
 from .csvout import write_csv
 from .exact import sir_endpoints
 from .figures import FIGURE_IDS, reproduce_figure
@@ -61,6 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rad_p = sub.add_parser("radius", help="radius queries for the scalar model")
     rad_p.add_argument("--y0", type=float, required=True, help="initial value")
+    # older argparse reads a negative number in exponent form, such as
+    # -1e200, as an option name; this pattern lets it through as a value
+    rad_p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     rad_p.add_argument("--order", type=int, default=30,
                        help="series order for the ratio estimate")
 
@@ -146,14 +150,20 @@ def cmd_report_all(args) -> int:
 
 
 def cmd_radius(args) -> int:
-    report = riccati_radius(args.y0)
+    try:
+        report = riccati_radius(args.y0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"closed-form radius: {report.radius:.6g}  ({report.detail})")
     try:
         sol = generate_taylor_solution(build_riccati(args.y0), args.order)
         est = estimate_radius(sol.components[0])
         print(f"ratio-test estimate at order {args.order}: "
               f"{est.radius:.6g}  ({est.detail})")
-    except NotEstimableError as exc:
+    except ValueError as exc:
+        # NotEstimableError for a degenerate tail; a start so large that the
+        # series overflows fails with "coefficients must be finite"
         print(f"ratio-test estimate unavailable: {exc}")
     if args.y0 == 0.0:
         from .convergence import MULTISTAGE_RADIUS_FLOOR

@@ -73,7 +73,11 @@ def riccati_radius(y0: float) -> RadiusReport:
             "constant solution at a stationary state; the series terminates",
         )
     ratio = num / den
-    if ratio > 0:
+    if 0.5 < ratio < 2.0:
+        # num = den - 2 sqrt(2): near 1 the ratio's own rounding would
+        # swamp the log, so take log1p of the exact difference instead
+        modulus = abs(math.log1p(-2.0 * SQRT2 / den))
+    elif ratio > 0:
         modulus = abs(math.log(ratio))
     else:
         modulus = math.hypot(math.log(-ratio), math.pi)
@@ -128,15 +132,15 @@ def estimate_radius(s: TruncatedSeries, window: int = 8) -> RadiusReport:
     n = s.order
     best = None
     for spacing in (1, 2, 3):
-        lead = np.arange(n - spacing - window + 1, n - spacing + 1)
-        if lead[0] < 0:
+        lead = n - spacing - window + 1
+        if lead < 0:
             continue
-        a = coeffs[lead]
-        b = coeffs[lead + spacing]
-        if np.any(a == 0.0) or np.any(b == 0.0):
+        a = coeffs[lead:lead + window]
+        b = coeffs[lead + spacing:lead + spacing + window]
+        if not (a.all() and b.all()):
             continue
         ratios = np.abs(a / b) ** (1.0 / spacing)
-        spread = float(np.std(np.log(ratios)))
+        spread = float(np.log(ratios).std())
         if best is None or spread < best[0]:
             best = (spread, spacing, ratios)
     if best is None:
@@ -144,9 +148,13 @@ def estimate_radius(s: TruncatedSeries, window: int = 8) -> RadiusReport:
             f"need {window} trailing nonzero coefficient pairs for a ratio test"
         )
     spread, spacing, ratios = best
+    r = sorted(ratios.tolist())
+    # np.median's value: the middle sample, or the mean of the middle two
+    h = window // 2
+    median = r[h] if window % 2 else (r[h - 1] + r[h]) / 2
     return RadiusReport(
-        float(np.median(ratios)),
+        median,
         RadiusMethod.RATIO_ESTIMATE,
         f"median spaced ratio, window={window}, spacing={spacing}, "
-        f"ratio spread [{ratios.min():.4g}, {ratios.max():.4g}]",
+        f"ratio spread [{r[0]:.4g}, {r[-1]:.4g}]",
     )

@@ -65,8 +65,9 @@ def eval_series(s: TruncatedSeries, t):
     if not np.all(np.isfinite(t)):
         raise ValueError("evaluation point must be finite")
     result = np.zeros_like(t)
-    for c in s.coefficients[::-1]:
-        result = result * t + c
+    for c in s.coefficients[::-1].tolist():
+        result *= t
+        result += c
     if result.ndim == 0:
         return float(result)
     return result
@@ -204,6 +205,58 @@ def _path_source(shape, order: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _loop_source(shape) -> str:
+    """``loop(w, state, coefficients, order, correlate)``: the recursion
+    for orders above ``KERNEL_MAX_ORDER``, filling the operand rows of
+    ``w`` (state rows from column 1 on, product rows that another row
+    reads) for k = 0 .. order-1.
+
+    Each product coefficient is one valid-mode correlate of the two
+    operand rows, ``np.correlate(w[left, :k+1], w[right, k::-1])``, which
+    adds in the order ``np.convolve`` does for that entry.  Local
+    ``u{operand}`` holds coefficient k of an operand and ``one`` that of
+    the constant (1.0 at k = 0, then 0.0); each equation sums from 0.0 in
+    monomial order and divides by k + 1, the float operations of
+    ``ProductPlan.combine`` in its order.  The lines hold only integer
+    indices and fixed names.
+    """
+    dim, rows, operands = shape
+    names = [f"c{j}" for j in range(sum(map(len, operands)))]
+    read = {op for pair in rows for op in pair}
+    w_rows = ", ".join(f"w{op}" for op in range(dim + 1 + len(rows)))
+
+    def u(op: int) -> str:
+        return "one" if op == dim else f"u{op}"
+
+    lines = [
+        "def loop(w, state, coefficients, order, correlate):",
+        f"    [{', '.join(names)}] = coefficients",
+        f"    [{w_rows}] = w",
+        f"    [{', '.join(u(i) for i in range(dim))}] = state",
+        "    one = 1.0",
+        "    k = 0",
+        "    while k < order:",
+        "        n = k + 1",
+    ]
+    for row, (left, right) in enumerate(rows, start=dim + 1):
+        lines.append(f"        {u(row)} = correlate(w{left}[:n], w{right}[k::-1]).item()")
+        if row in read:
+            lines.append(f"        w{row}[k] = {u(row)}")
+    terms = iter(names)
+    for i, ops in enumerate(operands):
+        sum_ = "".join(f" + {next(terms)} * {u(op)}" for op in ops)
+        lines.append(f"        v{i} = (0.0{sum_}) / n")
+    for i in range(dim):
+        lines.append(f"        w{i}[n] = v{i}")
+    lines += [
+        f"        {', '.join(u(i) for i in range(dim))} = "
+        f"{', '.join(f'v{i}' for i in range(dim))}",
+        "        one = 0.0",
+        "        k = n",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _compile(source: str, name: str, label: str):
     namespace = {"__builtins__": {}}
     exec(compile(source, f"<{label}>", "exec"), namespace)
@@ -230,6 +283,16 @@ def straight_line_path(shape, order: int):
                     f"taylor path, order {order}")
 
 
+@lru_cache(maxsize=128)
+def recursion_loop(shape):
+    """The compiled recursion for orders above ``KERNEL_MAX_ORDER`` and a
+    ``ProductPlan.shape``: ``loop(w, state values, plan.coefficients,
+    order, np.correlate)``.  The order is an argument, so one compile
+    serves every field and order of a family; cached like
+    ``straight_line_kernel``."""
+    return _compile(_loop_source(shape), "loop", "taylor loop")
+
+
 def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.ndarray:
     """Taylor coefficients, shape (dimension, order+1), of the solution of
     u' = P(u) started at ``state``.
@@ -238,7 +301,7 @@ def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.n
     k+1 only consumes coefficients 0..k, so every returned value is the
     exact Taylor coefficient up to floating-point rounding.  Orders up to
     ``KERNEL_MAX_ORDER`` run the plan's straight-line kernel, higher ones
-    a loop over orders and rows; both round every sum alike.
+    its compiled loop over orders; both round every sum alike.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -256,12 +319,8 @@ def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.n
     w = np.zeros((dim + 1 + len(plan.rows), order + 1))
     w[:dim, 0] = state
     w[dim, 0] = 1.0
-    for k in range(order):
-        for row, (left, right) in enumerate(plan.rows, start=dim + 1):
-            # coefficient k of the Cauchy product; the valid-mode correlate
-            # adds in the same order as np.convolve does for that entry
-            w[row, k] = np.correlate(w[left, : k + 1], w[right, k::-1])[0]
-        w[:dim, k + 1] = [acc / (k + 1) for acc in plan.combine(w[:, k].tolist())]
+    recursion_loop(plan.shape)(w, state.tolist(), plan.coefficients, order,
+                               np.correlate)
     return w[:dim]
 
 

@@ -1,8 +1,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serieslab.convergence import (
     MULTISTAGE_RADIUS_FLOOR,
@@ -14,7 +17,13 @@ from serieslab.convergence import (
     riccati_radius,
 )
 from serieslab.exact import riccati_exact
-from serieslab.models import RICCATI_STATIONARY, RICCATI_UNSTABLE, SQRT2, build_riccati
+from serieslab.models import (
+    RICCATI_STATIONARY,
+    RICCATI_UNSTABLE,
+    SQRT2,
+    build_riccati,
+    make_model,
+)
 from serieslab.series import TruncatedSeries, eval_series, generate_taylor_solution
 
 # frozen against a 40-digit evaluation of the closed forms
@@ -148,3 +157,118 @@ def test_series_useless_beyond_radius():
         errs[order] = abs(eval_series(sol.components[0], t) - exact)
     assert errs[30] > errs[10]
     assert errs[30] > 100.0
+
+
+# -- large starts against a multiprecision oracle -----------------------------
+
+def mp_riccati_radius(y0):
+    """sqrt(2)/4 |log(num/den)| in 60-digit arithmetic, through log1p of
+    the exact difference -2 sqrt(2)/den: at 60 digits the ratio itself
+    rounds to 1 from about |y0| = 1e60 on."""
+    with mpmath.workdps(60):
+        root2 = mpmath.sqrt(2)
+        den = mpmath.mpf(y0) + root2 - 1
+        return float(root2 / 4 * abs(mpmath.log1p(-2 * root2 / den)))
+
+
+@pytest.mark.parametrize("y0", [1e15, -1e15, 1e17, -1e17, 1e200, -1e200])
+def test_radius_of_huge_starts_matches_multiprecision(y0):
+    radius = riccati_radius(y0).radius
+    assert math.isfinite(radius) and radius > 0
+    assert radius == pytest.approx(mp_riccati_radius(y0), rel=4 * np.finfo(float).eps, abs=0)
+
+
+def test_radius_keeps_the_log_form_outside_the_log1p_switch():
+    # the presets' starts 0 and 5 (ratios -5.83 and 0.478) keep their bits
+    for y0 in (0.0, 5.0, -0.3, 2.0, 4.0, 5.2, -3.2):
+        ratio = (y0 - SQRT2 - 1.0) / (y0 + SQRT2 - 1.0)
+        assert not 0.5 < ratio < 2.0
+        modulus = (abs(math.log(ratio)) if ratio > 0
+                   else math.hypot(math.log(-ratio), math.pi))
+        assert riccati_radius(y0).radius == SQRT2 / 4.0 * modulus
+
+
+def test_radius_near_the_log1p_switch_matches_multiprecision():
+    # log1p takes over where num/den lies in (0.5, 2): y0 > 5.24 or y0 < -3.24;
+    # measured worst here 2.1 eps, while log(num/den) reaches 7.6 eps near
+    # ratio 0.9 (y0 about 27)
+    rng = np.random.default_rng(0)
+    starts = (*np.geomspace(5.0, 1e17, 300), *-np.geomspace(3.0, 1e17, 300),
+              *rng.uniform(5.25, 40.0, 2000), *-rng.uniform(3.25, 40.0, 2000))
+    for y0 in starts:
+        radius = riccati_radius(float(y0)).radius
+        assert radius == pytest.approx(mp_riccati_radius(float(y0)),
+                                       rel=4 * np.finfo(float).eps, abs=0)
+
+
+# -- the ratio test against the array version ---------------------------------
+
+def array_ratio_test(s, window=8):
+    """``estimate_radius`` as it ran before: index arrays for the windows,
+    np.any for the zero test, np.std and np.median.  Kept as the oracle."""
+    if window < 4:
+        raise ValueError("window must be at least 4")
+    if s.order < window:
+        raise ValueError("series order must be at least the window size")
+    coeffs = s.coefficients
+    n = s.order
+    best = None
+    for spacing in (1, 2, 3):
+        lead = np.arange(n - spacing - window + 1, n - spacing + 1)
+        if lead[0] < 0:
+            continue
+        a = coeffs[lead]
+        b = coeffs[lead + spacing]
+        if np.any(a == 0.0) or np.any(b == 0.0):
+            continue
+        ratios = np.abs(a / b) ** (1.0 / spacing)
+        spread = float(np.std(np.log(ratios)))
+        if best is None or spread < best[0]:
+            best = (spread, spacing, ratios)
+    if best is None:
+        raise NotEstimableError(
+            f"need {window} trailing nonzero coefficient pairs for a ratio test"
+        )
+    spread, spacing, ratios = best
+    return RadiusReport(
+        float(np.median(ratios)),
+        RadiusMethod.RATIO_ESTIMATE,
+        f"median spaced ratio, window={window}, spacing={spacing}, "
+        f"ratio spread [{ratios.min():.4g}, {ratios.max():.4g}]",
+    )
+
+
+def outcome(estimator, s, window):
+    try:
+        report = estimator(s, window)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return report, report.radius.hex()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(st.lists(st.one_of(st.floats(-1e30, 1e30), st.sampled_from([0.0, -0.0, 1e-300])),
+                min_size=4, max_size=40),
+       st.integers(3, 12))
+@settings(max_examples=300, deadline=None)
+def test_ratio_test_matches_array_version(coefficients, window):
+    s = TruncatedSeries(coefficients)
+    assert outcome(estimate_radius, s, window) == outcome(array_ratio_test, s, window)
+
+
+@pytest.mark.parametrize("window", range(4, 13))
+def test_ratio_test_matches_array_version_on_model_series(window):
+    models = [build_riccati(y0) for y0 in (0.0, 0.3, 5.0, -0.25, 2.0)] + [
+        make_model("lotka_volterra", dict(a=3.0, b=2.0, c=1.5, d=0.7), [1.0, 2.5]),
+        make_model("sir", dict(beta=0.5, gamma=0.2), [5.0, 1.0, 0.0]),
+    ]
+    for model in models:
+        for order in (window, window + 1, window + 3, 30, 61):
+            for s in generate_taylor_solution(model, order).components:
+                assert (outcome(estimate_radius, s, window)
+                        == outcome(array_ratio_test, s, window))
+    # a degenerate tail fails with the same text
+    for s in (TruncatedSeries([2.0] + [0.0] * 20),
+              TruncatedSeries([1.0, -0.0] * 12)):
+        assert outcome(estimate_radius, s, window) == outcome(array_ratio_test, s, window)
+        assert outcome(estimate_radius, s, window)[0] is NotEstimableError

@@ -468,7 +468,8 @@ def test_blow_up_start_gives_error_rows(text, rows, tmp_path):
 @pytest.mark.parametrize("y0", ["1e200", "-1e200"])
 def test_overflowing_series_becomes_error_rows(y0, tmp_path, capsys):
     # the order-5 coefficients overflow and DOP853 cannot take a step:
-    # both runs fail, and every row reports why instead of a traceback
+    # both runs fail, and every row that reads them reports why instead of
+    # a traceback; the closed-form radius, about 1/|y0|, still holds
     text = BLOW_UP_RICCATI.replace("initial_state = -1.0",
                                    f"initial_state = {y0}")
     path = tmp_path / "huge.ini"
@@ -482,12 +483,15 @@ def test_overflowing_series_becomes_error_rows(y0, tmp_path, capsys):
     assert sorted(runner.failures) == ["reference", "series"]
     assert str(runner.failures["series"]) == "coefficients must be finite"
     report = runner.run()
-    assert [(row.quantity, row.source.split(":")[1].strip())
-            for row in report.rows] == [
-        ("exact_final_state", "IntegrationError"),
-        ("series_radius_exact", "ValueError"),
-        ("radius_estimate", "ValueError"),
+    assert [(row.quantity, row.passed) for row in report.rows] == [
+        ("exact_final_state", False),
+        ("series_radius_exact", True),
+        ("radius_estimate", False),
     ]
+    final, exact, estimate = report.rows
+    assert final.source.startswith("error: IntegrationError: ")
+    assert exact.computed == pytest.approx(1e-200, rel=1e-15, abs=0)
+    assert estimate.source == "error: ValueError: coefficients must be finite"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -622,6 +626,25 @@ def test_cli_radius_query(capsys):
     out = capsys.readouterr().out
     assert "closed-form radius: 1.27362" in out
     assert "restart radius floor" in out
+
+
+@pytest.mark.parametrize("y0, radius", [("1e17", 1e-17), ("-1e200", 1e-200)])
+def test_cli_radius_query_for_huge_starts(y0, radius, capsys):
+    # the order-30 series overflows; the closed form still holds, and the
+    # exponent-form negative start is read as a value, not as an option
+    assert main(["radius", "--y0", y0]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("closed-form radius: ")
+    value = float(lines[0].split()[2])
+    assert math.isfinite(value) and value > 0
+    assert value == pytest.approx(radius, rel=1e-5, abs=0)
+    assert lines[1] == "ratio-test estimate unavailable: coefficients must be finite"
+
+
+@pytest.mark.parametrize("y0", ["inf", "nan"])
+def test_cli_radius_rejects_non_finite_start(y0, capsys):
+    assert main(["radius", "--y0", y0]) == 2
+    assert capsys.readouterr().err == "error: y0 must be finite\n"
 
 
 def test_cli_endpoints_query(capsys):

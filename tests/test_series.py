@@ -15,6 +15,7 @@ from serieslab.series import (
     TruncatedSeries,
     eval_series,
     generate_taylor_solution,
+    recursion_loop,
     series_add,
     series_mul,
     straight_line_kernel,
@@ -371,8 +372,7 @@ def test_builtin_plans_hold_one_product_row(model_fn):
 def plan_loop_taylor_coefficients(field, state, order):
     """The plan recursion as a loop over orders and rows, one np.correlate
     per product coefficient: what every order ran before the straight-line
-    kernel, and what orders above KERNEL_MAX_ORDER still run.  Kept as the
-    kernel's oracle."""
+    kernel and the compiled loop.  Kept as the oracle of both."""
     plan = field.plan
     dim = field.dimension
     w = np.zeros((dim + 1 + len(plan.rows), order + 1))
@@ -454,3 +454,85 @@ def test_one_compiled_kernel_serves_a_family():
     for model, got in ((slow, got_slow), (fast, got_fast)):
         want = plan_loop_taylor_coefficients(model.field, model.initial_state, 7)
         assert got.tobytes() == want.tobytes()
+
+
+# -- the compiled loop above KERNEL_MAX_ORDER against the plan loop ----------
+
+@given(st.sampled_from(["riccati", "lotka_volterra", "sir"]),
+       st.integers(0, 2**32 - 1), st.integers(KERNEL_MAX_ORDER + 1, 120),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_compiled_loop_is_byte_identical_to_plan_loop(family, seed, order, signed_zero):
+    model = seeded_model(family, seed)
+    if signed_zero:
+        model = signed_zero_start(model)
+    got = taylor_coefficients(model.field, model.initial_state, order)
+    want = plan_loop_taylor_coefficients(model.field, model.initial_state, order)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("state", [[0.3, -0.2], [-0.0, 0.5], [-0.0, -0.0], [-1.3, 0.8]])
+def test_compiled_loop_handles_constants_zero_coefficients_and_chains(state):
+    # chained rows (x*x)*x read a product row back from the work array
+    field = constant_zero_cubic_field()
+    for order in (*range(KERNEL_MAX_ORDER + 1, 25), 40, 60):
+        got = taylor_coefficients(field, state, order)
+        want = plan_loop_taylor_coefficients(field, state, order)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_one_compiled_loop_serves_a_family_at_every_order():
+    slow = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [3.0, 2.0])
+    fast = make_model("lotka_volterra", dict(a=2.5, b=0.3, c=1.7, d=0.9), [1.0, 4.0])
+    recursion_loop.cache_clear()
+    straight_line_kernel.cache_clear()
+    for model, order in ((slow, 12), (fast, 12), (slow, 90), (fast, 13)):
+        got = taylor_coefficients(model.field, model.initial_state, order)
+        want = plan_loop_taylor_coefficients(model.field, model.initial_state, order)
+        assert got.tobytes() == want.tobytes()
+    info = recursion_loop.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    # orders up to KERNEL_MAX_ORDER never reach the loop
+    taylor_coefficients(slow.field, slow.initial_state, KERNEL_MAX_ORDER)
+    assert recursion_loop.cache_info().hits == 3
+    assert straight_line_kernel.cache_info().misses == 1
+
+
+# -- Horner evaluation against the array loop --------------------------------
+
+def array_horner(s, t):
+    """``eval_series`` as it ran before evaluating in place: a new array
+    per step, over the coefficients as numpy scalars.  Kept as the
+    oracle."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("evaluation point must be finite")
+    result = np.zeros_like(t)
+    for c in s.coefficients[::-1]:
+        result = result * t + c
+    if result.ndim == 0:
+        return float(result)
+    return result
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=121),
+       st.one_of(st.floats(-3.0, 3.0),
+                 st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=40)))
+@settings(max_examples=200, deadline=None)
+def test_horner_is_byte_identical_to_array_loop(coefficients, t):
+    s = TruncatedSeries(coefficients)
+    got = eval_series(s, t)
+    want = array_horner(s, t)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_horner_keeps_signed_zeros_and_grid_shapes():
+    s = TruncatedSeries([-0.0, 2.0, -0.5])
+    for t in (-0.0, 0.0, -1.5, np.array([[-2.0, -0.0], [0.5, 1e-300]]),
+              np.linspace(-1.0, 1.0, 601)):
+        got = eval_series(s, t)
+        want = array_horner(s, t)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
