@@ -8,6 +8,7 @@ from .convergence import (
     RadiusMethod,
     RadiusReport,
     estimate_radius,
+    riccati_multistage_radii,
     riccati_multistage_radius,
     riccati_radius,
 )

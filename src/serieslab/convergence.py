@@ -100,17 +100,34 @@ def riccati_multistage_radius(t: float) -> RadiusReport:
     t = float(t)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and non-negative")
+    return RadiusReport(
+        float(_restart_radius(t)),
+        RadiusMethod.EXACT_MULTISTAGE,
+        f"re-expansion about t={t:.6g} of the solution started at zero",
+    )
+
+
+def riccati_multistage_radii(times) -> np.ndarray:
+    """``riccati_multistage_radius(t).radius`` for every t of an array, as
+    one array expression; each value has the bits of the scalar call."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("times must be finite and non-negative")
+    return _restart_radius(times)
+
+
+def _restart_radius(t):
+    """The restart radius at a float or an array of times.  Both run the
+    same operations in the same order, and +, -, * and sqrt round
+    correctly in numpy as in Python, so an array element equals the float
+    result."""
     radicand = (
         4.0 * _LOG_SILVER**2
         - 8.0 * SQRT2 * _LOG_SILVER * t
         + 8.0 * t * t
         + math.pi**2
     )
-    return RadiusReport(
-        SQRT2 / 4.0 * math.sqrt(radicand),
-        RadiusMethod.EXACT_MULTISTAGE,
-        f"re-expansion about t={t:.6g} of the solution started at zero",
-    )
+    return SQRT2 / 4.0 * np.sqrt(radicand)
 
 
 def estimate_radius(s: TruncatedSeries, window: int = 8) -> RadiusReport:

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .models import SQRT2, RICCATI_STATIONARY, ModelInstance
 
@@ -177,6 +175,8 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         raise BracketError(
             f"no sign change on [{lo:.6g}, {hi:.6g}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
         )
+    from scipy.optimize import brentq
+
     return float(
         brentq(f, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps, maxiter=200)
     )
@@ -246,6 +246,8 @@ def sir_t_of_x(x: float, model: ModelInstance, tol: float = 1e-9) -> float:
 
     def integrand(u):
         return 1.0 / (beta * u * _sir_yz(u, x0, y0, z0, rho)[0])
+
+    from scipy.integrate import quad
 
     value, abserr = quad(integrand, x, x0, epsabs=tol, epsrel=1e-11, limit=400)
     if abserr > max(10.0 * tol, 1e-7 * abs(value)):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .models import ModelInstance
 from .series import DIVERGENCE_LIMIT, SeriesSolution, eval_series, taylor_path
@@ -103,6 +102,15 @@ def multistage_taylor(
         "multistage",
         meta={"order": order, "step": step, "t_end": t_end},
     )
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on the first reference solve so that
+    the series layers load without scipy; a module global, so a caller can
+    rebind it to observe every solve ``reference_integrate`` makes."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def reference_integrate(

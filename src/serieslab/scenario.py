@@ -21,12 +21,12 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .convergence import (
     MULTISTAGE_RADIUS_FLOOR,
     NotEstimableError,
     estimate_radius,
+    riccati_multistage_radii,
     riccati_multistage_radius,
     riccati_radius,
 )
@@ -415,13 +415,14 @@ class _Runner:
             "closed-form radius (ratio test should land nearby)"))
 
     def restart_min_rows(self):
+        from scipy.optimize import minimize_scalar
+
         span = max(10.0, self.config.t_end)
-        coarse = np.linspace(0.0, span, 2001)
-        values = [riccati_multistage_radius(t).radius for t in coarse]
+        coarse = riccati_multistage_radii(np.linspace(0.0, span, 2001))
         best = minimize_scalar(
             lambda t: riccati_multistage_radius(t).radius,
             bounds=(0.0, span), method="bounded", options={"xatol": 1e-12})
-        computed = min(float(np.min(values)), float(best.fun))
+        computed = min(float(np.min(coarse)), float(best.fun))
         return [self.row("multistage_radius_min", computed, _near(
             MULTISTAGE_RADIUS_FLOOR, 1e-3, "rel",
             "analytic lower bound sqrt(2)*pi/4"))]

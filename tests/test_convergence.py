@@ -13,6 +13,7 @@ from serieslab.convergence import (
     RadiusMethod,
     RadiusReport,
     estimate_radius,
+    riccati_multistage_radii,
     riccati_multistage_radius,
     riccati_radius,
 )
@@ -107,6 +108,19 @@ def test_multistage_radius_at_ten_matches_pole_oracle():
 def test_multistage_radius_rejects_negative_time():
     with pytest.raises(ValueError):
         riccati_multistage_radius(-1.0)
+
+
+@pytest.mark.parametrize("span", [10.0, 12.5, 30.0, 1000.0])
+def test_multistage_radii_match_the_scalar_calls_bit_for_bit(span):
+    grid = np.linspace(0.0, span, 2001)
+    scalar = np.array([riccati_multistage_radius(t).radius for t in grid])
+    assert riccati_multistage_radii(grid).tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_multistage_radii_reject_what_the_scalar_rejects(bad):
+    with pytest.raises(ValueError):
+        riccati_multistage_radii([0.0, bad])
 
 
 def test_estimate_geometric_series_is_exact():

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import serieslab.integrators
 from serieslab.exact import lv_conserved, riccati_exact, sir_endpoints
 from serieslab.integrators import (
     DIVERGENCE_LIMIT,
@@ -129,6 +130,24 @@ def test_reference_sir_long_time_asymptotics():
     x_end, y_end, _ = tr.states[-1]
     assert abs(x_end - ends.x_limit) < 1e-9
     assert abs(y_end) < 1e-12
+
+
+def test_reference_solves_through_the_module_global(monkeypatch):
+    # integrators.solve_ivp is the one place a reference solve reaches
+    # scipy, so wrapping that global sees every solve
+    calls = []
+    forward = serieslab.integrators.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(serieslab.integrators, "solve_ivp", counted)
+    for model, t_end in ((build_riccati(0.0), 1.0), (lv_case_v(), 2.0)):
+        before = len(calls)
+        reference_integrate(model, t_end, 1e-10)
+        assert len(calls) == before + 1
+    assert calls == ["DOP853", "DOP853"]
 
 
 def test_reference_tolerance_bounds():

@@ -1,11 +1,14 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import serieslab.scenario
 from serieslab.cli import main
+from serieslab.convergence import riccati_multistage_radius
 from serieslab.figures import FIGURE_IDS, reproduce_figure
 from serieslab.integrators import DivergenceError, reference_integrate
 from serieslab.scenario import (
@@ -330,6 +333,24 @@ def test_report_row_catalogue(tmp_path):
            for config in configs}
     assert got == {name: [(q, True) for q in quantities]
                    for name, quantities in ROW_CATALOGUE.items()}
+
+
+@pytest.mark.parametrize("t_end", [10.0, 30.0])
+def test_restart_min_row_matches_the_scalar_grid_and_minimiser(t_end, tmp_path):
+    # the row as computed before the grid became one array expression:
+    # 2001 scalar calls, then the bounded minimiser
+    config = replace(load_preset("riccati-zero"), t_end=t_end)
+    row, = [r for r in run_scenario(config, tmp_path, fmt="csv").rows
+            if r.quantity == "multistage_radius_min"]
+    span = max(10.0, t_end)
+    coarse = [riccati_multistage_radius(t).radius
+              for t in np.linspace(0.0, span, 2001)]
+    best = minimize_scalar(lambda t: riccati_multistage_radius(t).radius,
+                           bounds=(0.0, span), method="bounded",
+                           options={"xatol": 1e-12})
+    assert row.computed == min(float(np.min(coarse)), float(best.fun))
+    assert row.computed == 1.1107207345395915
+    assert row.passed
 
 
 @pytest.mark.parametrize("text", [MULTISTAGE_LV, MULTISTAGE_SIR], ids=["lv", "sir"])
