@@ -62,8 +62,10 @@ print("Predator-dominated crash: prey 14, predators 18, slow predator decay")
 print("=" * 72)
 crash_model = make_model("lotka_volterra", dict(a=1, b=1, c=0.1, d=1),
                          [14.0, 18.0])
+# a positive predator-prey start is integrated in log coordinates, where
+# the prey count stays relatively accurate through its 54 orders of decay
 ref = reference_integrate(crash_model, 5.0, 1e-10,
-                          grid=np.linspace(0.0, 5.0, 501), atol=1e-140)
+                          grid=np.linspace(0.0, 5.0, 501))
 print(f"  true prey count at t=5: {ref.states[-1, 0]:.3e}  "
       "(tiny, but strictly positive)")
 crash_series = sample_series(generate_taylor_solution(crash_model, 5),

@@ -186,41 +186,50 @@ def sir_endpoints(model: ModelInstance, tol: float = 1e-12) -> SirEndpoints:
     """Solve the endpoint equations of the epidemic.
 
     x_limit is the unique root of y(x) = 0 below the peak; x_over the
-    nontrivial root of y(x) = y0 (x = x0 always satisfies it, so the
-    bracket deliberately stops short of x0).
+    nontrivial root of y(x) = y0 (x = x0 always satisfies it), between
+    x_limit and the peak.  Both are solved in s = ln(x/x0), where they read
+
+        die-out:  y0 - x0*expm1(s) + rho*s = 0,
+        return:        -x0*expm1(s) + rho*s = 0,
+
+    with rho = gamma/beta.  ``tol`` bounds the root in s, so it is a
+    relative tolerance in x: a root far below 1 keeps its digits.  A
+    die-out point below the smallest float raises ArithmeticError.
     """
     beta, gamma, x0, y0, z0 = _sir_data(model)
     if not (x0 > 0 and y0 > 0):
         raise ValueError("need positive initial susceptibles and infectives")
     rho = gamma / beta
     epidemic = x0 > rho
+    # the peak, where both equations take their largest value
+    s_peak = math.log(rho / x0) if epidemic else 0.0
 
-    def infectives(x):
-        return _sir_yz(x, x0, y0, z0, rho)[0]
+    def infectives(s):
+        return y0 - x0 * math.expm1(s) + rho * s
 
-    # infectives(lo) = -lo by construction, so lo sits just below the root;
-    # the max() guards exotic parameters against underflow to zero
-    lo = max(x0 * math.exp(-(y0 + x0) / rho), 5e-324)
-    hi = min(x0, rho)
+    # infectives(lo) = -x0*exp(lo) < 0 in exact arithmetic; should
+    # rounding spoil the sign, step further down
+    lo = -(y0 + x0) / rho
     tries = 0
     while infectives(lo) >= 0.0 and tries < 80:
-        lo *= 0.5
+        lo *= 2.0
         tries += 1
-    x_limit = find_root_bracketed(infectives, lo, hi, tol)
+    s_limit = find_root_bracketed(infectives, lo, s_peak, tol)
+    x_limit = x0 * math.exp(s_limit)
+    if x_limit == 0.0:
+        raise ArithmeticError(
+            f"die-out point x0*exp({s_limit:.6g}) lies below the smallest float")
 
     if not epidemic:
         return SirEndpoints(x_limit, None, None, None, False)
 
-    def excess(x):
-        return x0 - x + rho * math.log(x / x0)
+    def excess(s):
+        return rho * s - x0 * math.expm1(s)
 
-    # excess(x_limit) = -y0 < 0; the upper end stops short of the trivial
-    # root at x0, falling back to the peak location if rounding spoils it
-    hi2 = x0 * (1.0 - 1e-6)
-    if excess(hi2) <= 0.0:
-        hi2 = rho
-    x_over = find_root_bracketed(excess, x_limit, hi2, tol)
-    return SirEndpoints(x_limit, x_over, rho, sir_y_of_x(rho, model), True)
+    # excess(s_limit) = -y0 < 0 and excess(s_peak) > 0
+    s_over = find_root_bracketed(excess, s_limit, s_peak, tol)
+    return SirEndpoints(x_limit, x0 * math.exp(s_over), rho,
+                        sir_y_of_x(rho, model), True)
 
 
 def sir_t_of_x(x: float, model: ModelInstance, tol: float = 1e-9) -> float:

@@ -12,6 +12,7 @@ with mixed absolute/relative error control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +114,17 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
+#: tolerances of the log-coordinate solve (see reference_integrate):
+#: absolute error in w = ln u is relative error in u, so the absolute
+#: tolerance, a share of ``tol``, does the work; the relative one only
+#: has to stay above scipy's floor of 100 eps
+LOG_RTOL = 1e-13
+LOG_ATOL_SHARE = 1e-2
+
+#: DIVERGENCE_LIMIT in log coordinates
+LOG_DIVERGENCE_LIMIT = math.log(DIVERGENCE_LIMIT)
+
+
 def reference_integrate(
     model: ModelInstance,
     t_end: float,
@@ -122,11 +134,23 @@ def reference_integrate(
 ) -> Trajectory:
     """Ground-truth trajectory from an embedded adaptive Runge-Kutta pair.
 
-    ``tol`` is the relative tolerance; the absolute floor defaults to
-    three orders below it, scaled by the initial state.  Pass an explicit
-    tiny ``atol`` when a component decays through many orders of magnitude
-    and must stay relatively accurate all the way down.  The trajectory is
-    sampled on ``grid`` (defaults to 401 uniform points).
+    A field in Kolmogorov form (each u_i' = u_i * g_i(u), as in the
+    predator-prey model) started with every component positive is
+    integrated in w = ln u.  There absolute error is relative error in u,
+    so a population that decays through many orders of magnitude stays
+    relatively accurate and can never turn negative.  The tolerances then
+    apply to w: relative ``LOG_RTOL`` and absolute ``tol * LOG_ATOL_SHARE``;
+    ``atol`` is not used.
+
+    Every other field or start is integrated in u.  ``tol`` is the relative
+    tolerance; the absolute floor defaults to three orders below it, scaled
+    by the initial state.  Pass an explicit tiny ``atol`` when a component
+    decays through many orders of magnitude and must stay relatively
+    accurate all the way down.
+
+    ``meta`` records the coordinates and the tolerances passed to the
+    solver.  The trajectory is sampled on ``grid`` (defaults to 401
+    uniform points).
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError("tol must lie in [1e-13, 1e-3]")
@@ -141,20 +165,49 @@ def reference_integrate(
             raise ValueError("grid must be 1-D and start at 0")
         if np.any(np.diff(grid) <= 0) or grid[-1] > t_end:
             raise ValueError("grid must increase strictly and stay within t_end")
-    if atol is None:
-        atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(u0))))
+    # math.exp and math.log on plain floats, not np.exp and np.log, whose
+    # last bit depends on the SIMD build
+    exp = math.exp
+    rates = model.field.per_capita
+    start = u0.tolist()
+    in_logs = rates is not None and min(start) > 0.0
+    if in_logs:
+        def rhs(t, w):
+            try:
+                u = [exp(v) for v in w.tolist()]
+            except OverflowError:
+                # a trial stage far past the blow-up level; NaN rejects it
+                return np.full(w.shape, math.nan)
+            return rates.evaluate(u)
 
-    def blow_up(t, u):
-        return DIVERGENCE_LIMIT - np.max(np.abs(u))
+        def blow_up(t, w):
+            return LOG_DIVERGENCE_LIMIT - max(w.tolist())
+
+        y0 = np.array([math.log(v) for v in start])
+        rtol, atol = LOG_RTOL, tol * LOG_ATOL_SHARE
+        meta = {"tol": tol, "coordinates": "log", "rtol": rtol, "atol": atol,
+                "method": "DOP853"}
+    else:
+        def rhs(t, u):
+            return model.field.evaluate(u)
+
+        def blow_up(t, u):
+            return DIVERGENCE_LIMIT - np.max(np.abs(u))
+
+        y0 = u0
+        if atol is None:
+            atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(u0))))
+        rtol = tol
+        meta = {"tol": tol, "atol": atol, "method": "DOP853"}
 
     blow_up.terminal = True
 
     sol = solve_ivp(
-        lambda t, u: model.field.evaluate(u),
+        rhs,
         (0.0, float(t_end)),
-        u0,
+        y0,
         method="DOP853",
-        rtol=tol,
+        rtol=rtol,
         atol=atol,
         t_eval=grid,
         events=blow_up,
@@ -169,12 +222,10 @@ def reference_integrate(
         raise IntegrationError(
             f"integrator stopped at t={last:.6g}: {sol.message}", last_time=last
         )
-    return Trajectory(
-        sol.t,
-        sol.y.T,
-        "reference",
-        meta={"tol": tol, "atol": atol, "method": "DOP853"},
-    )
+    states = sol.y.T
+    if in_logs:
+        states = [[exp(v) for v in row] for row in states.tolist()]
+    return Trajectory(sol.t, states, "reference", meta=meta)
 
 
 def sample_series(solution: SeriesSolution, grid) -> Trajectory:

@@ -144,6 +144,22 @@ class PolynomialVectorField:
             terms.append(tuple(eq_terms))
         return ProductPlan(tuple(rows), tuple(terms))
 
+    @cached_property
+    def per_capita(self) -> PolynomialVectorField | None:
+        """The field g with u_i' = u_i * g_i(u), or None if some monomial
+        of equation i lacks a factor u_i (the field is not in Kolmogorov
+        form).  g_i is equation i with one power of u_i removed from each
+        monomial; in w = ln u the system reads w_i' = g_i(exp(w))."""
+        equations = []
+        for i, eq in enumerate(self.equations):
+            if any(mono.exponents[i] == 0 for mono in eq):
+                return None
+            equations.append(tuple(
+                Monomial(mono.coefficient,
+                         tuple(e - (j == i) for j, e in enumerate(mono.exponents)))
+                for mono in eq))
+        return PolynomialVectorField(self.dimension, tuple(equations))
+
     def evaluate(self, state) -> np.ndarray:
         """Evaluate P(state) componentwise.
 

@@ -268,8 +268,20 @@ def load_preset(name: str) -> ScenarioConfig:
 
 def _lv_atol(model):
     # prey/predator counts sweep many orders of magnitude; only relative
-    # control keeps the logarithmic invariant meaningful
+    # control keeps the logarithmic invariant meaningful.  Positive starts
+    # get it from the log-coordinate solve; this floor serves the solve in
+    # u of a start on an axis
     return DEEP_DECAY_ATOL if model.label == "lotka_volterra" else None
+
+
+def _endpoint_limit(rho, x):
+    """Admissible residual of an epidemic endpoint equation at its root x.
+
+    The root is located to 1e-12 relative in x (in s = ln(x/x0)), so the
+    residual scales with the slope rho - x of the equation in s.  Above
+    x = 1 the bound is that of a root located to 1e-12 absolute in x,
+    the tighter of the two."""
+    return max(1e-9, 1e-11 * abs(rho - x) / max(1.0, x))
 
 
 def _restrict(trajectory: Trajectory, times) -> Trajectory:
@@ -467,9 +479,7 @@ class _Runner:
         x0 = float(model.initial_state[0])
         rho = model.params["gamma"] / model.params["beta"]
         resid = abs(sir_y_of_x(ends.x_limit, model))
-        # the root is located to 1e-12 in x; the admissible residual
-        # scales with the slope of the die-out equation there
-        limit = max(1e-9, 1e-11 * abs(rho / ends.x_limit - 1.0))
+        limit = _endpoint_limit(rho, ends.x_limit)
         out = [
             self.row("x_limit", ends.x_limit, _check(
                 resid <= limit, f"|infectives(x_limit)| <= {limit:g}",
@@ -479,7 +489,7 @@ class _Runner:
         ]
         if ends.epidemic_occurs:
             resid_over = abs(x0 - ends.x_over + rho * math.log(ends.x_over / x0))
-            limit = max(1e-9, 1e-11 * abs(rho / ends.x_over - 1.0))
+            limit = _endpoint_limit(rho, ends.x_over)
             xg = np.geomspace(ends.x_limit * 1.001, x0, 4001)
             grid_max = float(np.max(sir_curves(xg, model)[0]))
             out += [

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -158,16 +159,65 @@ def test_endpoints_slow_epidemic():
 def test_endpoints_definitions_hold():
     model = sir_slow()
     ends = sir_endpoints(model)
-    # roots are located to 1e-12 in x; the residual scales with the slope
-    slope_limit = abs(2.0 / ends.x_limit - 1.0)
-    assert abs(sir_y_of_x(ends.x_limit, model)) < 10e-12 * slope_limit
+    # roots are located to 1e-12 relative in x, in s = ln(x/x0); the
+    # residual scales with the slope rho - x in s
+    assert abs(sir_y_of_x(ends.x_limit, model)) < 10e-12 * abs(2.0 - ends.x_limit)
     # the return point has the infectives back at their initial count
-    slope_over = abs(2.0 / ends.x_over - 1.0)
-    assert abs(sir_y_of_x(ends.x_over, model) - 15.0) < 10e-12 * slope_over
+    assert abs(sir_y_of_x(ends.x_over, model) - 15.0) < 10e-12 * abs(2.0 - ends.x_over)
     # the peak really is the maximum: the slope -1 + (gamma/beta)/x vanishes
     assert abs(-1.0 + 2.0 / ends.x_peak) == 0.0
     xg = np.geomspace(ends.x_limit * 1.001, 20.0, 4001)
     assert max(sir_y_of_x(float(x), model) for x in xg) <= ends.y_peak + 1e-9
+
+
+def sir_roots_50_digits(beta, gamma, x0, y0):
+    """x_limit and, with an epidemic, x_over: 50-digit roots of the
+    endpoint equations in s = ln(x/x0), bracketed below the peak."""
+    with mpmath.workdps(50):
+        beta, gamma, x0, y0 = (mpmath.mpf(v) for v in (beta, gamma, x0, y0))
+        rho = gamma / beta
+        peak = mpmath.log(rho / x0) if x0 > rho else mpmath.mpf(0)
+        s_limit = mpmath.findroot(
+            lambda s: y0 - x0 * mpmath.expm1(s) + rho * s,
+            (-2 * (x0 + y0) / rho, peak), solver="anderson")
+        roots = [x0 * mpmath.exp(s_limit)]
+        if x0 > rho:
+            s_over = mpmath.findroot(lambda s: rho * s - x0 * mpmath.expm1(s),
+                                     (s_limit, peak), solver="anderson")
+            roots.append(x0 * mpmath.exp(s_over))
+        # each root solves its equation as first stated in x
+        for root, target in zip(roots, (0, y0)):
+            y = y0 + x0 - root + rho * mpmath.log(root / x0)
+            assert abs(y - target) < mpmath.mpf(10) ** -40
+        return roots
+
+
+#: largest relative error against sir_roots_50_digits, measured at 1.2e-15
+#: (sir-slow x_limit); x = x0*exp(s) carries the rounding of s, up to
+#: |s|*eps, which is 1.1e-14 for the roots near 1e-21
+ENDPOINT_ERROR_BOUND = 1e-14
+
+
+@pytest.mark.parametrize("beta, gamma, start", [
+    (1.0, 0.5, [20.0, 4.0, 0.0]),       # roots near 1e-20 and 1e-16
+    (0.01, 0.02, [20.0, 15.0, 10.0]),   # sir-slow
+    (1.0, 1.0, [20.0, 4.0, 10.0]),      # sir-fast
+    (0.01, 0.5, [20.0, 4.0, 10.0]),     # no epidemic
+], ids=["tiny-roots", "sir-slow", "sir-fast", "no-epidemic"])
+def test_endpoints_match_a_50_digit_oracle(beta, gamma, start):
+    ends = sir_endpoints(make_model("sir", dict(beta=beta, gamma=gamma), start))
+    exact = sir_roots_50_digits(beta, gamma, *start[:2])
+    got = [ends.x_limit] + ([ends.x_over] if ends.epidemic_occurs else [])
+    assert len(got) == len(exact)
+    for value, root in zip(got, exact):
+        assert float(abs(value - root) / root) < ENDPOINT_ERROR_BOUND
+
+
+def test_endpoints_below_the_smallest_float_raise():
+    # rho = 1e-8: the die-out point is about 5*exp(-6e8)
+    model = make_model("sir", dict(beta=1e4, gamma=1e-4), [5.0, 1.0, 0.0])
+    with pytest.raises(ArithmeticError, match="below the smallest float"):
+        sir_endpoints(model)
 
 
 def test_endpoints_without_epidemic():

@@ -6,6 +6,7 @@ import pytest
 
 import serieslab.integrators
 from serieslab.exact import lv_conserved, riccati_exact, sir_endpoints
+from serieslab.figures import lv_orbit_period
 from serieslab.integrators import (
     DIVERGENCE_LIMIT,
     DivergenceError,
@@ -22,6 +23,7 @@ from serieslab.models import (
     build_riccati,
     make_model,
 )
+from serieslab.scenario import load_preset
 from serieslab.series import (
     KERNEL_MAX_ORDER,
     _path_source,
@@ -193,6 +195,125 @@ def test_reference_tightening_tolerance_is_stable():
         loose = reference_integrate(model, t_end, 1e-6, grid=grid).states[-1]
         tight = reference_integrate(model, t_end, 1e-9, grid=grid).states[-1]
         assert float(np.max(np.abs(loose - tight))) < 10.0 * 1e-6
+
+
+# -- the log-coordinate path ---------------------------------------------------------
+
+def x_space_oracle(model, grid):
+    """An independent DOP853 solve in u itself, with relative error
+    control all the way down."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(lambda t, u: model.field.evaluate(u), (0.0, grid[-1]),
+                    model.initial_state, method="DOP853", rtol=1e-13,
+                    atol=1e-300, t_eval=grid)
+    assert sol.success
+    return sol.y.T
+
+
+def seeded_lv(seed):
+    """Rates and start log-uniform in [0.1, 10]."""
+    rng = np.random.default_rng([seed, 11])
+    rates = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 6)).tolist()
+    return make_model("lotka_volterra", dict(zip("abcd", rates)), rates[4:])
+
+
+def lv_accuracy_cases():
+    crash = load_preset("lv-crash")
+    orbit = load_preset("lv-orbit")
+    crash_model, orbit_model = (make_model(c.model_name, c.params, c.initial_state)
+                                for c in (crash, orbit))
+    period = lv_orbit_period(orbit_model)
+    cases = [
+        pytest.param(crash_model, np.linspace(0.0, crash.t_end, crash.samples),
+                     id="lv-crash"),
+        pytest.param(orbit_model, np.linspace(0.0, orbit.t_end, orbit.samples),
+                     id="lv-orbit"),
+        pytest.param(crash_model, np.linspace(0.0, 5.0, 501), id="fig1"),
+        pytest.param(orbit_model, np.linspace(0.0, 0.999 * period, 1200), id="fig2"),
+    ]
+    return cases + [pytest.param(seeded_lv(seed), np.linspace(0.0, 5.0, 401),
+                                 id=f"seed{seed}") for seed in range(10)]
+
+
+#: largest relative error of the log path at tol = 1e-10 over
+#: lv_accuracy_cases, measured at 1.06e-10 (lv-orbit), with a factor 2 of
+#: slack; the path in u with atol = DEEP_DECAY_ATOL measured 1.4e-9
+LOG_PATH_ERROR_BOUND = 2e-10
+
+
+@pytest.mark.parametrize("model, grid", lv_accuracy_cases())
+def test_log_path_matches_an_independent_x_space_solve(model, grid):
+    tr = reference_integrate(model, grid[-1], 1e-10, grid=grid)
+    assert tr.meta["coordinates"] == "log"
+    exact = x_space_oracle(model, grid)
+    err = float(np.max(np.abs(tr.states - exact) / np.abs(exact)))
+    assert err < LOG_PATH_ERROR_BOUND
+
+
+def test_log_path_meta_records_the_tolerances_passed(monkeypatch):
+    passed = []
+    forward = serieslab.integrators.solve_ivp
+
+    def spy(*args, **kwargs):
+        passed.append((kwargs["rtol"], kwargs["atol"]))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(serieslab.integrators, "solve_ivp", spy)
+    tr = reference_integrate(lv_case_v(), 1.0, 1e-10, atol=1e-140)
+    assert passed == [(1e-13, 1e-12)]
+    assert tr.meta == {"tol": 1e-10, "coordinates": "log", "rtol": 1e-13,
+                       "atol": 1e-12, "method": "DOP853"}
+    # a start on an axis, and every field not in Kolmogorov form, stay in u
+    on_axis = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0),
+                         [0.0, 2.0])
+    for model, atol in ((on_axis, 1e-140), (sir_slow(), None)):
+        tr = reference_integrate(model, 1.0, 1e-10, atol=atol)
+        assert "coordinates" not in tr.meta
+        assert passed[-1] == (1e-10, tr.meta["atol"])
+        assert atol is None or tr.meta["atol"] == atol
+
+
+def test_log_path_keeps_a_deep_decay_non_negative():
+    # the prey falls like exp(-300 t); in u the solve returned prey counts
+    # of -9.6e-10 (default atol) and -2.9e-139 (DEEP_DECAY_ATOL).  From
+    # about t = 2.5 the true count lies below the smallest float, so it
+    # rounds to 0
+    model = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=0.01, d=1.0),
+                       [1.0, 300.0])
+    tr = reference_integrate(model, 5.0, 1e-10)
+    assert not np.any(np.isnan(tr.states))
+    assert np.all(tr.states >= 0.0)
+    assert np.all(tr.states[tr.times <= 2.0] > 0.0)
+
+
+def test_log_path_blow_up_raises_integration_error():
+    # u' = u^2 from 1 is in Kolmogorov form (w' = e^w) and has its pole at t = 1
+    field = PolynomialVectorField(1, ((Monomial(1.0, (2,)),),))
+    with pytest.raises(IntegrationError, match="escaped the divergence limit") as info:
+        reference_integrate(ModelInstance(field, {}, [1.0], "test"), 2.0, 1e-10)
+    assert 0.99 < info.value.last_time <= 1.0
+
+
+def test_log_path_overflowing_trial_stage_is_rejected(monkeypatch):
+    # with the pole at t = 1e-8, a trial stage lands past w = 709, where
+    # exp overflows; that stage is rejected, and the solve still ends at
+    # the divergence limit
+    overflows = []
+    exp = math.exp
+
+    def counted(v):
+        try:
+            return exp(v)
+        except OverflowError:
+            overflows.append(v)
+            raise
+
+    monkeypatch.setattr(math, "exp", counted)
+    field = PolynomialVectorField(1, ((Monomial(1e8, (2,)),),))
+    with pytest.raises(IntegrationError, match="escaped the divergence limit"):
+        reference_integrate(ModelInstance(field, {}, [1.0], "test"), 2e-8, 1e-10)
+    assert overflows
 
 
 # -- series sampling -----------------------------------------------------------------

@@ -208,3 +208,21 @@ def test_model_specs_drive_make_model():
     assert riccati.field == MODELS["riccati"].builder()
     assert (riccati.label, riccati.params, riccati.initial_state.tolist()) == (
         "riccati", {}, [0.5])
+
+
+def test_per_capita_field_of_the_kolmogorov_form():
+    field = build_lotka_volterra(1.0, 2.0, 3.0, 4.0)
+    rates = field.per_capita
+    assert rates == PolynomialVectorField(2, (
+        (Monomial(1.0, (0, 0)), Monomial(-2.0, (0, 1))),
+        (Monomial(-3.0, (0, 0)), Monomial(4.0, (1, 0))),
+    ))
+    assert field.per_capita is rates
+    u = [0.7, 1.9]
+    assert np.allclose(field.evaluate(u), np.multiply(u, rates.evaluate(u)),
+                       rtol=0.0, atol=1e-14)
+    # a constant term, or dz/dt = gamma*y with no factor z, breaks the form
+    assert build_riccati(0.0).field.per_capita is None
+    assert build_sir(1.0, 1.0).per_capita is None
+    cubic = PolynomialVectorField(1, ((Monomial(2.0, (3,)),),))
+    assert cubic.per_capita == PolynomialVectorField(1, ((Monomial(2.0, (2,)),),))

@@ -11,6 +11,7 @@ from serieslab.cli import main
 from serieslab.convergence import riccati_multistage_radius
 from serieslab.figures import FIGURE_IDS, reproduce_figure
 from serieslab.integrators import DivergenceError, reference_integrate
+from serieslab.models import PolynomialVectorField
 from serieslab.scenario import (
     ScenarioConfig,
     _lv_atol,
@@ -383,6 +384,65 @@ def test_one_reference_solve_serves_grid_and_multistage_nodes(text, tmp_path, mo
     assert row.passed
 
 
+def test_lv_crash_reference_solve_cost(tmp_path, monkeypatch):
+    # a deterministic guard on the log-coordinate path: the solve in u with
+    # atol = DEEP_DECAY_ATOL made 5834 field evaluations here, the log path
+    # 617
+    evaluate = PolynomialVectorField.evaluate
+    counts = []
+
+    def counted_solve(*args, **kwargs):
+        calls = []
+
+        def counted(self, state):
+            calls.append(1)
+            return evaluate(self, state)
+
+        monkeypatch.setattr(PolynomialVectorField, "evaluate", counted)
+        try:
+            return reference_integrate(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(PolynomialVectorField, "evaluate", evaluate)
+            counts.append(len(calls))
+
+    monkeypatch.setattr(serieslab.scenario, "reference_integrate", counted_solve)
+    assert main(["run", "lv-crash", "--out", str(tmp_path)]) == 0
+    assert len(counts) == 1
+    assert 0 < counts[0] <= 1500
+
+
+DEEP_DECAY_LV = """\
+[scenario]
+name = lv-deep-decay
+model = lotka_volterra
+
+[model]
+initial_state = 1, 300
+
+[model.params]
+a = 1
+b = 1
+c = 0.01
+d = 1
+
+[grid]
+t_end = 2.0
+samples = 201
+
+[analyses]
+items = conserved
+"""
+
+
+def test_deep_decay_reference_stays_positive(tmp_path):
+    # the prey falls to about 1e-256 by t = 2 (past t = 2.5 it drops below
+    # the smallest float); the solve in u sent it negative within t = 0.1
+    report = run_scenario(validate_config(DEEP_DECAY_LV), tmp_path, fmt="csv")
+    rows = {row.quantity: row for row in report.rows}
+    assert rows["reference_stays_positive"].computed is True
+    assert all(row.passed for row in report.rows)
+
+
 DIVERGING_RICCATI = """\
 [scenario]
 name = riccati-wide-steps
@@ -674,6 +734,14 @@ def test_cli_endpoints_query(capsys):
     out = capsys.readouterr().out
     assert "x_limit: 5.022e-07" in out
     assert "y_peak:  28.3948" in out
+
+
+def test_cli_endpoints_keep_tiny_roots(capsys):
+    assert main(["endpoints", "--beta", "1", "--gamma", "0.5",
+                 "--x0", "20", "--y0", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "x_limit: 2.85033e-20" in out
+    assert "x_over:  8.49671e-17" in out
 
 
 def test_cli_endpoints_rejects_bad_parameters(capsys):
