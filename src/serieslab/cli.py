@@ -27,15 +27,16 @@ from .scenario import load_preset, preset_names, run_scenario, validate_config
 from .series import generate_taylor_solution
 
 
-def _add_common(parser):
+def _add_common(parser, overrides=True):
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--order", type=int, default=None,
-                        help="override the series order")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="reference integrator tolerance")
     parser.add_argument("--format", dest="fmt", default="both",
                         choices=("csv", "svg", "both"),
                         help="artifact formats to write")
+    if overrides:  # a figure draws its preset as the preset stands
+        parser.add_argument("--order", type=int, default=None,
+                            help="override the series order")
+        parser.add_argument("--tol", type=float, default=1e-10,
+                            help="reference integrator tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("figure", help="reproduce one demonstration figure")
     fig_p.add_argument("id", choices=FIGURE_IDS)
-    _add_common(fig_p)
+    _add_common(fig_p, overrides=False)
 
     all_p = sub.add_parser("report-all",
                            help="run every bundled preset, aggregate a table")

@@ -1,13 +1,15 @@
 """The four demonstration figures, plus the geometry behind them.
 
-Each figure contrasts a truncated power-series solution with ground truth
-on a window wide enough to expose the series failure: populations that go
-negative, a phase-plane curve that crosses itself (impossible for a true
-orbit), and epidemic curves that never reach the endpoint region.
+Each figure draws one bundled preset (``_FIGURES``), contrasting its
+truncated power-series solution with ground truth on a window wide enough
+to expose the series failure: populations that go negative, a phase-plane
+curve that crosses itself (impossible for a true orbit), and epidemic
+curves that never reach the endpoint region.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +18,8 @@ from .csvout import write_csv
 from .exact import sir_curves, sir_endpoints
 from .integrators import Trajectory, reference_integrate, sample_series
 from .models import ModelInstance, make_model
-from .series import eval_series, generate_taylor_solution
+from .series import generate_taylor_solution
 from .svgplot import LinePlot
-
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4")
 
 #: effectively exact absolute floor for a solve in u, such as a
 #: predator-prey start on an axis: populations can decay through dozens of
@@ -140,29 +140,20 @@ def lv_closed_orbit(model: ModelInstance, tol: float = 1e-10) -> tuple[float, Tr
     return period, reference_integrate(model, grid[-1], tol, grid=grid)
 
 
-def _case_crash():
-    return make_model("lotka_volterra", {"a": 1.0, "b": 1.0, "c": 0.1, "d": 1.0}, [14.0, 18.0])
+def _params(config, start: bool) -> str:
+    """A figure's ``params`` line: the preset's rates, then its start."""
+    rates = " ".join(f"{key}={value:g}" for key, value in config.params.items())
+    if not start:
+        return rates
+    return f"{rates}, start ({', '.join(f'{v:g}' for v in config.initial_state)})"
 
 
-def _case_orbit():
-    return make_model("lotka_volterra", {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}, [3.0, 2.0])
-
-
-def _epidemic_slow():
-    return make_model("sir", {"beta": 0.01, "gamma": 0.02}, [20.0, 15.0, 10.0])
-
-
-def _epidemic_fast():
-    return make_model("sir", {"beta": 1.0, "gamma": 1.0}, [20.0, 4.0, 10.0])
-
-
-def _fig1(out_dir: Path, fmt: str) -> list[Path]:
-    # prey-predator populations against time; the order-5 series sends the
-    # prey count negative within the window while the true count stays > 0
-    model = _case_crash()
-    grid = np.linspace(0.0, 5.0, 501)
-    ref = reference_integrate(model, 5.0, 1e-10, grid=grid)
-    ser = sample_series(generate_taylor_solution(model, 5), grid)
+def _fig1(config, model, ser: Trajectory, out_dir: Path, fmt: str) -> list[Path]:
+    # prey-predator populations against time; the series sends the prey
+    # count negative within the window while the true count stays > 0
+    grid = ser.times
+    ref = reference_integrate(model, config.t_end, 1e-10, grid=grid)
+    order = config.series_order
     files = []
     if fmt in ("csv", "both"):
         files.append(write_csv(
@@ -171,29 +162,29 @@ def _fig1(out_dir: Path, fmt: str) -> list[Path]:
             np.column_stack([grid, ref.states, ser.states]),
             meta={
                 "figure": "prey and predator populations against time",
-                "params": "a=1 b=1 c=0.1 d=1, start (14, 18)",
-                "series_order": 5,
+                "params": _params(config, start=True),
+                "series_order": order,
             },
         ))
     if fmt in ("svg", "both"):
-        plot = LinePlot("Populations: truth against order-5 series", "t", "population")
+        plot = LinePlot(f"Populations: truth against order-{order} series",
+                        "t", "population")
         plot.add_curve(grid, ref.states[:, 0], "prey (exact)", "#1f77b4")
         plot.add_curve(grid, ref.states[:, 1], "predator (exact)", "#2ca02c")
         plot.add_curve(grid, ser.states[:, 0], "prey (series)", "#d62728", dash="6,3")
         plot.add_curve(grid, ser.states[:, 1], "predator (series)", "#ff7f0e", dash="6,3")
-        plot.set_xlim(0.0, 5.0)
+        plot.set_xlim(0.0, config.t_end)
         plot.set_ylim(-12.0, 40.0)
         files.append(plot.write(out_dir / "fig1_populations.svg"))
     return files
 
 
-def _fig2(out_dir: Path, fmt: str) -> list[Path]:
+def _fig2(config, model, ser: Trajectory, out_dir: Path, fmt: str) -> list[Path]:
     # phase plane: the true orbit is a closed curve; the series polyline
     # crosses itself, which no autonomous planar trajectory can do
-    model = _case_orbit()
     period, orbit = lv_closed_orbit(model)
-    series_grid = np.linspace(0.0, 6.0, 601)
-    ser = sample_series(generate_taylor_solution(model, 5), series_grid)
+    params = _params(config, start=True)
+    order = config.series_order
     files = []
     if fmt in ("csv", "both"):
         files.append(write_csv(
@@ -201,51 +192,51 @@ def _fig2(out_dir: Path, fmt: str) -> list[Path]:
             ["t", "x", "y"],
             np.column_stack([orbit.times, orbit.states]),
             meta={"figure": "closed phase-plane orbit (one period)",
-                  "params": "a=b=c=d=1, start (3, 2)", "period": f"{period:.12g}"},
+                  "params": params, "period": f"{period:.12g}"},
         ))
         files.append(write_csv(
             out_dir / "fig2_orbit_series.csv",
             ["t", "x", "y"],
-            np.column_stack([series_grid, ser.states]),
-            meta={"figure": "order-5 series curve in the phase plane",
-                  "params": "a=b=c=d=1, start (3, 2)", "series_order": 5},
+            np.column_stack([ser.times, ser.states]),
+            meta={"figure": f"order-{order} series curve in the phase plane",
+                  "params": params, "series_order": order},
         ))
     if fmt in ("svg", "both"):
         plot = LinePlot("Phase plane: closed orbit against series curve", "prey x", "predator y")
         plot.add_curve(orbit.states[:, 0], orbit.states[:, 1], "exact orbit", "#1f77b4")
-        plot.add_curve(ser.states[:, 0], ser.states[:, 1], "order-5 series", "#d62728", dash="6,3")
+        plot.add_curve(ser.states[:, 0], ser.states[:, 1], f"order-{order} series",
+                       "#d62728", dash="6,3")
         plot.set_xlim(-0.5, 6.0)
         plot.set_ylim(-0.5, 7.0)
         files.append(plot.write(out_dir / "fig2_phase_plane.svg"))
     return files
 
 
-def _epidemic_figure(model: ModelInstance, stem: str, title: str, t_end: float,
+def _epidemic_figure(stem: str, spread: str, config, model, ser: Trajectory,
                      out_dir: Path, fmt: str) -> list[Path]:
     ends = sir_endpoints(model)
     x0 = float(model.initial_state[0])
     # dense exact curves down to just above the infective die-out point
     x_dense = np.geomspace(ends.x_limit * 1.0001, x0, 800)
     y_exact, z_exact = sir_curves(x_dense, model)
-    grid = np.linspace(0.0, t_end, 601)
-    sol = generate_taylor_solution(model, 5)
-    xs = np.atleast_1d(eval_series(sol.components[0], grid))
-    ys = np.atleast_1d(eval_series(sol.components[1], grid))
-    zs = np.atleast_1d(eval_series(sol.components[2], grid))
+    xs, ys, zs = ser.states.T
     # exact curves re-evaluated at the series' own susceptible coordinate,
     # where that coordinate is still meaningful
     inside = (xs > 0) & (xs <= x0)
     y_at = np.full(xs.shape, np.nan)
     z_at = np.full(xs.shape, np.nan)
     y_at[inside], z_at[inside] = sir_curves(xs[inside], model)
-    params = f"beta={model.params['beta']:g} gamma={model.params['gamma']:g}"
+    title = (f"Epidemic curves, {spread} spread: truth against "
+             f"order-{config.series_order} series")
+    params = _params(config, start=False)
     files = []
     if fmt in ("csv", "both"):
         files.append(write_csv(
             out_dir / f"{stem}_series_vs_exact.csv",
             ["x", "y_exact", "z_exact", "y_series", "z_series"],
             np.column_stack([xs, y_at, z_at, ys, zs]),
-            meta={"figure": title, "params": params, "series_order": 5,
+            meta={"figure": title, "params": params,
+                  "series_order": config.series_order,
                   "note": "rows follow the series time grid; x is the series "
                           "susceptible count, exact columns are evaluated at "
                           "that x when it lies in (0, x0]"},
@@ -270,34 +261,36 @@ def _epidemic_figure(model: ModelInstance, stem: str, title: str, t_end: float,
     return files
 
 
-def _fig3(out_dir: Path, fmt: str) -> list[Path]:
-    return _epidemic_figure(
-        _epidemic_slow(), "fig3",
-        "Epidemic curves, slow spread: truth against order-5 series",
-        9.0, out_dir, fmt,
-    )
+#: each figure: the preset it draws, and its builder
+_FIGURES = {
+    "fig1": ("lv-crash", _fig1),
+    "fig2": ("lv-orbit", _fig2),
+    "fig3": ("sir-slow", partial(_epidemic_figure, "fig3", "slow")),
+    "fig4": ("sir-fast", partial(_epidemic_figure, "fig4", "fast")),
+}
 
-
-def _fig4(out_dir: Path, fmt: str) -> list[Path]:
-    return _epidemic_figure(
-        _epidemic_fast(), "fig4",
-        "Epidemic curves, fast spread: truth against order-5 series",
-        0.6, out_dir, fmt,
-    )
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def reproduce_figure(fig_id: str, out_dir=".", fmt: str = "both") -> list[Path]:
-    """Write the CSV data and SVG plot of one demonstration figure.
+    """Write the CSV data and SVG plot of one demonstration figure, drawn
+    from the model, grid and series order of its preset (``_FIGURES``).
 
     ``fig1``: prey-predator populations against time (series goes negative).
     ``fig2``: phase plane, closed orbit against a self-crossing series curve.
     ``fig3``/``fig4``: epidemic curves for slow and fast parameter sets.
     """
-    builders = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4}
-    if fig_id not in builders:
+    if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")
     if fmt not in ("csv", "svg", "both"):
         raise ValueError("fmt must be csv, svg or both")
+    from .scenario import load_preset  # scenario imports this module
+
+    preset, build = _FIGURES[fig_id]
+    config = load_preset(preset)
+    model = make_model(config.model_name, config.params, config.initial_state)
+    grid = np.linspace(0.0, config.t_end, config.samples)
+    ser = sample_series(generate_taylor_solution(model, config.series_order), grid)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return builders[fig_id](out_dir, fmt)
+    return build(config, model, ser, out_dir, fmt)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import read_csv
 
+import serieslab.integrators
+import serieslab.scenario
+from serieslab.cli import main
 from serieslab.figures import (
+    FIGURE_IDS,
     ORIENTATION_EPS,
     lv_closed_orbit,
     lv_orbit_period,
@@ -17,6 +22,7 @@ from serieslab.figures import (
 )
 from serieslab.integrators import reference_integrate, sample_series
 from serieslab.models import make_model
+from serieslab.scenario import load_preset, run_scenario
 from serieslab.series import generate_taylor_solution
 
 
@@ -259,6 +265,67 @@ def test_reproduce_epidemic_figures(tmp_path):
         # exact curves stay inside the population simplex
         total = exact["x"] + exact["y_exact"] + exact["z_exact"]
         assert np.max(np.abs(total - total[0])) < 1e-9
+
+
+def data_cells(path):
+    """The data cells of one CSV artifact as written, row by row."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_figures_are_views_of_their_presets(tmp_path):
+    for name in ("lv-crash", "lv-orbit", "sir-slow", "sir-fast"):
+        run_scenario(load_preset(name), tmp_path, fmt="csv")
+    for fig_id in FIGURE_IDS:
+        reproduce_figure(fig_id, tmp_path / fig_id, fmt="csv")
+    # fig1: the lv-crash reference and series, side by side
+    reference = data_cells(tmp_path / "lv-crash" / "reference.csv")
+    series = data_cells(tmp_path / "lv-crash" / "series.csv")
+    assert len(series) == 501
+    assert data_cells(tmp_path / "fig1" / "fig1_populations.csv") == [
+        ref + ser[1:] for ref, ser in zip(reference, series, strict=True)]
+    # fig2: the lv-orbit series
+    assert (data_cells(tmp_path / "fig2" / "fig2_orbit_series.csv")
+            == data_cells(tmp_path / "lv-orbit" / "series.csv"))
+    # fig3, fig4: x, y_series and z_series are the epidemic series
+    for fig_id, name in (("fig3", "sir-slow"), ("fig4", "sir-fast")):
+        rows = data_cells(tmp_path / fig_id / f"{fig_id}_series_vs_exact.csv")
+        series = data_cells(tmp_path / name / "series.csv")
+        assert [[row[0], row[3], row[4]] for row in rows] == [
+            row[1:] for row in series]
+
+
+def test_a_figure_follows_its_preset(tmp_path, monkeypatch):
+    load = serieslab.scenario.load_preset
+    monkeypatch.setattr(
+        serieslab.scenario, "load_preset",
+        lambda name: replace(load(name), t_end=2.5, samples=251, series_order=3))
+    reproduce_figure("fig1", tmp_path, fmt="csv")
+    path = tmp_path / "fig1_populations.csv"
+    assert "# series_order=3" in path.read_text().splitlines()
+    data = read_csv(path)
+    assert np.array_equal(data["t"], np.linspace(0.0, 2.5, 251))
+
+
+@pytest.mark.parametrize("fig_id, solves", [
+    ("fig1", 1),   # the reference populations
+    ("fig2", 2),   # lv_closed_orbit: the period, then the orbit
+    ("fig3", 0),
+    ("fig4", 0),
+])
+def test_a_figure_makes_only_the_solves_it_draws(fig_id, solves, tmp_path,
+                                                 monkeypatch, capsys):
+    calls = []
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+    monkeypatch.setattr(serieslab.integrators, "solve_ivp", counted)
+    assert main(["figure", fig_id, "--out", str(tmp_path)]) == 0
+    assert len(calls) == solves
 
 
 def test_reproduce_figure_rejects_unknown():

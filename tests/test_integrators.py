@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,23 @@ def test_log_path_overflowing_trial_stage_is_rejected(monkeypatch):
     with pytest.raises(IntegrationError, match="escaped the divergence limit"):
         reference_integrate(ModelInstance(field, {}, [1.0], "test"), 2e-8, 1e-10)
     assert overflows
+
+
+@pytest.mark.parametrize("terms, in_logs", [
+    ((Monomial(1e5, (9,)),), True),                         # u' = 1e5 u^9
+    ((Monomial(1.0, (0,)), Monomial(1e5, (9,))), False),    # u' = 1 + 1e5 u^9
+], ids=["log-path", "u-path"])
+def test_overflowing_field_raises_integration_error_and_no_warning(terms, in_logs):
+    # the field overflows to inf inside scipy's step; numpy's warnings about
+    # the inf and NaN that follow stay inside the solve
+    field = PolynomialVectorField(1, (terms,))
+    assert (field.per_capita is not None) == in_logs
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError):
+            reference_integrate(ModelInstance(field, {}, [1.0], "test"), 2e-5, 1e-10)
+    assert np.geterr() == before
 
 
 # -- series sampling -----------------------------------------------------------------

@@ -222,7 +222,8 @@ def test_figures_are_deterministic(tmp_path):
 
 
 #: sha256 of the artifacts made only of order-5 series coefficients and
-#: elementwise numpy arithmetic, recorded before the straight-line kernel;
+#: elementwise numpy arithmetic, recorded before the straight-line kernel
+#: (fig2's again when its ``params`` line became ``a=1 b=1 c=1 d=1``);
 #: no BLAS call enters them, so they hold on any platform
 GOLDEN_SHA256 = {
     "lv-crash/series.csv": "870dbed8055d1d0675a223c63cf419699d490b5eafa91d0cd24b5604062761b0",
@@ -239,7 +240,7 @@ GOLDEN_SHA256 = {
     "sir-fast/series_coefficients.csv": "741ca82285095e8c8389fd1ee73a72297a3b680017d6fe82ec68908a1290fc03",
     "sir-slow/series.csv": "75f912a1396e89424eadda47c5fd4a0355a301767c0b3812a800dd816bead30a",
     "sir-slow/series_coefficients.csv": "bd1cf090a5a609d7e3d4efcea2e543edfcf3de4a25c7d1cdcc0de1bf3fb47adb",
-    "fig2/fig2_orbit_series.csv": "b9d3e3f2f20d34a6ad138fb4a7279e65934421e3b87c2ab39edf638accee81cf",
+    "fig2/fig2_orbit_series.csv": "e7f4cacfbe4da40737cd670f820ab1c81247945b42e720f7992f0786e989ea1c",
 }
 
 
@@ -700,6 +701,16 @@ series_radius_exact = 2.0, 0.001, abs, deliberately wrong
 def test_cli_figure(tmp_path, capsys):
     assert main(["figure", "fig3", "--out", str(tmp_path), "--format", "csv"]) == 0
     assert (tmp_path / "fig3_exact_curves.csv").exists()
+
+
+@pytest.mark.parametrize("flag", [["--order", "7"], ["--tol", "1e-8"]])
+def test_cli_figure_takes_no_run_overrides(flag, tmp_path, capsys):
+    # a figure draws its preset as it stands: an override is a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["figure", "fig1", "--out", str(tmp_path), *flag])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_radius_query(capsys):

@@ -7,6 +7,7 @@ float bits.
 """
 
 import contextlib
+import hashlib
 import io
 import math
 import tempfile
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +27,9 @@ from serieslab.csvout import format_cell, write_csv
 from serieslab.exact import _sir_data, sir_curves, sir_y_of_x, sir_z_of_x
 from serieslab.figures import FIGURE_IDS, reproduce_figure
 from serieslab.models import build_riccati, make_model
-from serieslab.scenario import preset_names
+from serieslab.scenario import load_preset, preset_names
 from serieslab.svgplot import LinePlot, nice_ticks
+from test_scenario import GOLDEN_SHA256
 
 # -- oracles -----------------------------------------------------------------
 
@@ -384,8 +387,8 @@ def test_epidemic_figure_exact_columns_follow_the_domain_rule(fig_id, tmp_path):
     path = tmp_path / f"{fig_id}_series_vs_exact.csv"
     lines = [ln for ln in path.read_text().splitlines()
              if not ln.startswith("#")][1:]
-    model = (serieslab.figures._epidemic_slow() if fig_id == "fig3"
-             else serieslab.figures._epidemic_fast())
+    config = load_preset("sir-slow" if fig_id == "fig3" else "sir-fast")
+    model = make_model(config.model_name, config.params, config.initial_state)
     x0 = float(model.initial_state[0])
     outside = 0
     for line in lines:
@@ -404,14 +407,16 @@ def test_epidemic_figure_exact_columns_follow_the_domain_rule(fig_id, tmp_path):
 
 
 def all_verbs():
-    return ([["run", name] for name in preset_names()]
-            + [["figure", fig] for fig in FIGURE_IDS] + [["report-all"]])
+    """(output directory, argv) of the 11 verbs that write artifacts."""
+    return ([(f"run-{name}", ["run", name]) for name in preset_names()]
+            + [(fig, ["figure", fig]) for fig in FIGURE_IDS]
+            + [("report-all", ["report-all"])])
 
 
 def write_every_artifact(out: Path) -> dict[str, bytes]:
-    for i, verb in enumerate(all_verbs()):
+    for directory, verb in all_verbs():
         with contextlib.redirect_stdout(io.StringIO()):
-            serieslab.cli.main([*verb, "--out", str(out / f"{i:02d}")])
+            serieslab.cli.main([*verb, "--out", str(out / directory)])
     return {p.relative_to(out).as_posix(): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}
 
@@ -429,4 +434,78 @@ def test_every_artifact_matches_the_per_point_oracles(tmp_path, monkeypatch):
     assert len(shipped) == 89
     assert sorted(shipped) == sorted(oracle)
     differ = [name for name in shipped if shipped[name] != oracle[name]]
+    assert differ == []
+
+# -- every artifact, pinned --------------------------------------------------
+
+#: sha256 of the other 36 artifact names of the 11 verbs (GOLDEN_SHA256
+#: holds the 15 order-5 series files): the reference solves, the reports,
+#: the SVGs and the epidemic curves, whose bytes pass through scipy's
+#: solvers, root searches and quadrature or through numpy's BLAS-backed
+#: dot products, so they are pinned only on the versions they were
+#: recorded on, PINNED_ON (fig2's again when its ``params`` line became
+#: ``a=1 b=1 c=1 d=1``).  `run <preset>` and `report-all` write the same
+#: per-preset files, so a name is its last two path components.
+ARTIFACT_SHA256 = {
+    "fig1/fig1_populations.csv": "fdbf37d1f5724ddf2acf72f32528ad3149c70e998219d988c1764c8d1c13d78f",
+    "fig1/fig1_populations.svg": "5b41bd0b8e8fc9649b132d9136acafc2be355885416965a28495d696e0f35d41",
+    "fig2/fig2_orbit_exact.csv": "0cbd7cfdb0d662351c65abd96bce25a1cff9e2087c746ee9f05f28b05bebd436",
+    "fig2/fig2_phase_plane.svg": "5558994256fe7b76fa2593137c54c8ee91ca87a9ce89066473a35b2a2b4c54cb",
+    "fig3/fig3_curves.svg": "d00788be9a6b99f99587c1d17232c95e788ee44e73300a85b94c51c0b7cce31b",
+    "fig3/fig3_exact_curves.csv": "e626c2cffae4725bc1dcf1b28d63f8b4be5695845291def8a7a1bde837b9b900",
+    "fig3/fig3_series_vs_exact.csv": "28392a14853a913e51e43bf83c5336ecbfea85de8cefc7338315244b1d67bc48",
+    "fig4/fig4_curves.svg": "b7178e0786b79595c367951047c37f573927239bb44ff9b406836eb1e4a952fa",
+    "fig4/fig4_exact_curves.csv": "1655fc9cbe3b5ef4420e3e4d83e2769bad03c452319c5b4b60420d75017e9ddc",
+    "fig4/fig4_series_vs_exact.csv": "3525d8b164d42bb8c2ba01043fde7fb4d6f089a5807f1692f2a6a8b39b00040f",
+    "lv-crash/reference.csv": "9449fddf1e9a5b7ce7479f8e2c55d925405dbbeacab0703e7d5c0605cb7148bf",
+    "lv-crash/report.csv": "ba4cda156e552c07bf40d7dc6912dcd7014f10a616cec0a194e55c35750f1c5d",
+    "lv-crash/report.txt": "93f3d26a16344c26b72d6a27c00fbcec1063f810ae9a0587f59dc27b3c259491",
+    "lv-crash/timeseries.svg": "73bafc661256437410295dffeb2fb77aac0b3485858b7709c29326bdc41d3b35",
+    "lv-orbit/reference.csv": "677410160d6113b9711c3dbc40a46eafb7e5a1e8f508f080eba96c83b217a36c",
+    "lv-orbit/report.csv": "3ec2e308690bcc7210e784086bf3b556e49c57018504c48025ad8cbee23d4c9a",
+    "lv-orbit/report.txt": "6f2a6c4634927fe65ae1c70dc4e9b6145a0f25b2bb3bbd25da6441151d3b373b",
+    "lv-orbit/timeseries.svg": "07be5ea038831eb23d9f781c4d418cae90291444125eb8e55871e3e6c046283d",
+    "report-all/report_all.csv": "704f52a43f7bc3d7b298983ac57406809ef1b6fe588d02925304426ab86de019",
+    "report-all/report_all.txt": "3dba82109cc68acdeca715ee471b52a08ff55834dcdcd618c5eece9d5a5665bb",
+    "riccati-five/reference.csv": "ea4931c0fd9904cf3cc9b4f6b669afbb7b7bd4836a958660b13e3ffafdfb9622",
+    "riccati-five/report.csv": "88bfbd7bb71420ce3380b5aaa3a7e58871981ae18a8c6838a83da523589c2f1b",
+    "riccati-five/report.txt": "79a4edbad5ef06a791b3cecf123570065133971df96e21df6cece19b25fb54a0",
+    "riccati-five/timeseries.svg": "c2088d8f56eef6cee02d520a891f92cfe6f96fc247feb266d4ba6e6fed84fa38",
+    "riccati-zero/reference.csv": "c5a53d98e53e4a64ccaf0e862f287441a490c725434eb01ca5f01c1a005404ee",
+    "riccati-zero/report.csv": "cf070f13e5be26d810744df8dae66267d6f24a45064e5123e9529bab4f60fe4c",
+    "riccati-zero/report.txt": "089be27709da934af6329440f5ae59f5e607f472c482f456d307b9d538912ae6",
+    "riccati-zero/timeseries.svg": "86e37072519c6292b8314769dd4ec63a3e9597e605b3f17d0f393848d3e83ab4",
+    "sir-fast/reference.csv": "ac5cb3cdc273643d8ef971d1c5eb9431de48be3c3b494dc871b240704597ab09",
+    "sir-fast/report.csv": "04c42e0e7036b26600a80e8ebbfdadd1a8b2eb555527e0332b6b9fcba9e8b1b3",
+    "sir-fast/report.txt": "29b2f56de2d699a1bfdfac2b0cb891a37e5418764592a8953c9bbccf9440c464",
+    "sir-fast/timeseries.svg": "e1ff1f4378a33bf133c8cd644703412d3b8ffb7a5e65c7a420d803cf740be3d0",
+    "sir-slow/reference.csv": "6faff337ffb2aa64c0a49d48eda8d1e6859dc2f13de214789fe455b07b4bd4e3",
+    "sir-slow/report.csv": "39a55dabdf59ab8b0cccd8c7b6b0250409ae2c028f8204839ed437238997b581",
+    "sir-slow/report.txt": "2f390d5a316c50381f63599441e3b9c1cb172ca56fe9ebb5a131927779f36164",
+    "sir-slow/timeseries.svg": "b2dc26b71611e03ab74a1850bf2b147b5772762cfe34a21b75f531039d1d7374",
+}
+
+PINNED_ON = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+def test_every_artifact_matches_its_pinned_bytes(tmp_path):
+    written = write_every_artifact(tmp_path)
+    assert len(written) == 89
+    got = {}
+    for path, data in written.items():
+        digest = hashlib.sha256(data).hexdigest()
+        name = "/".join(path.split("/")[-2:])
+        # a preset's files from `run` and from `report-all` are identical
+        assert got.setdefault(name, digest) == digest, path
+    assert sorted(got) == sorted({**GOLDEN_SHA256, **ARTIFACT_SHA256})
+    assert {name: got[name] for name in GOLDEN_SHA256} == GOLDEN_SHA256
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    differ = sorted(name for name, digest in ARTIFACT_SHA256.items()
+                    if got[name] != digest)
+    if versions != PINNED_ON:
+        pytest.skip(f"{len(ARTIFACT_SHA256)} artifacts are pinned on numpy "
+                    f"{PINNED_ON['numpy']} and scipy {PINNED_ON['scipy']}, "
+                    f"not numpy {versions['numpy']} and scipy "
+                    f"{versions['scipy']}; here {len(differ)} differ: "
+                    f"{', '.join(differ) or 'none'}")
     assert differ == []
