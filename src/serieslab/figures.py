@@ -152,7 +152,7 @@ def _fig1(config, model, ser: Trajectory, out_dir: Path, fmt: str) -> list[Path]
     # prey-predator populations against time; the series sends the prey
     # count negative within the window while the true count stays > 0
     grid = ser.times
-    ref = reference_integrate(model, config.t_end, 1e-10, grid=grid)
+    ref = reference_integrate(model, config.t_end, grid=grid)
     order = config.series_order
     files = []
     if fmt in ("csv", "both"):
