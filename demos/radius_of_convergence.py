@@ -25,7 +25,7 @@ from serieslab import (
     generate_taylor_solution,
     multistage_taylor,
     riccati_exact,
-    riccati_multistage_radius,
+    riccati_radii,
     riccati_radius,
 )
 
@@ -78,9 +78,9 @@ print(f"  end state {stepped.states[-1, 0]:.12f} vs stationary value "
 print()
 print("  Why 0.2 works: the radius of the re-expanded series never drops")
 print(f"  below sqrt(2)*pi/4 = {MULTISTAGE_RADIUS_FLOOR:.4f} along this solution:")
-for t in (0.0, 0.62, 2.0, 10.0):
-    print(f"    restart at t = {t:5.2f}: local radius "
-          f"{riccati_multistage_radius(t).radius:8.4f}")
+restarts = (0.0, 0.62, 2.0, 10.0)
+for t, radius in zip(restarts, riccati_radii(0.0, restarts)):
+    print(f"    restart at t = {t:5.2f}: local radius {radius:8.4f}")
 print("  Any fixed step well below 1.11 keeps every stage inside its disc;")
 print("  a step of 2.0 does not, and the iteration visibly diverges.")
 try:

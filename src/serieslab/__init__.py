@@ -8,8 +8,7 @@ from .convergence import (
     RadiusMethod,
     RadiusReport,
     estimate_radius,
-    riccati_multistage_radii,
-    riccati_multistage_radius,
+    riccati_radii,
     riccati_radius,
 )
 from .exact import (
@@ -67,8 +66,6 @@ from .series import (
     TruncatedSeries,
     eval_series,
     generate_taylor_solution,
-    series_add,
-    series_mul,
     taylor_coefficients,
     taylor_path,
 )

@@ -23,6 +23,7 @@ from .csvout import write_csv
 from .exact import sir_endpoints
 from .figures import FIGURE_IDS, reproduce_figure
 from .models import build_riccati, make_model
+from .report import CSV_COLUMNS
 from .scenario import load_preset, preset_names, run_scenario, validate_config
 from .series import generate_taylor_solution
 
@@ -121,17 +122,10 @@ def cmd_report_all(args) -> int:
         config = _override_order(load_preset(name), args.order)
         reports.append(run_scenario(config, args.out, fmt=args.fmt,
                                     tol=args.tol))
-    rows = []
-    for report in reports:
-        for row in report.rows:
-            rows.append((report.scenario, row.quantity, row.computed,
-                         row.reference, row.rel_error, row.passed,
-                         row.criterion.replace(",", ";"),
-                         row.source.replace(",", ";")))
+    rows = [(report.scenario, *row.csv_cells())
+            for report in reports for row in report.rows]
     out = Path(args.out)
-    write_csv(out / "report_all.csv",
-              ["scenario", "quantity", "computed", "reference", "rel_error",
-               "passed", "criterion", "source"],
+    write_csv(out / "report_all.csv", ("scenario", *CSV_COLUMNS),
               rows, meta={"presets": " ".join(preset_names())})
     lines = []
     n_pass = 0

@@ -1,10 +1,11 @@
 """Radii of convergence of the time-power series.
 
-The scalar quadratic model admits closed forms: the nearest complex-time
-pole of the exact solution is known for any initial value, and so is the
-pole seen by a series re-expanded about a later time along the solution
-started at zero.  For the other models there is no closed form, so a
-ratio-test estimator on the generated coefficients is provided instead.
+The scalar quadratic model admits a closed form: the complex-time poles
+of its exact solution lie on one lattice, known for any initial value, so
+the radius about the start and about any later restart time is the
+distance to the nearest lattice point.  For the other models there is no
+closed form, so a ratio-test estimator on the generated coefficients is
+provided instead.
 """
 
 from __future__ import annotations
@@ -18,16 +19,12 @@ import numpy as np
 from .models import SQRT2
 from .series import TruncatedSeries
 
-#: log of the silver ratio 1 + sqrt(2), the attracting state; appears in every radius formula
-_LOG_SILVER = math.log(SQRT2 + 1.0)
-
 #: infimum of the re-expansion radius along the solution started at zero
 MULTISTAGE_RADIUS_FLOOR = SQRT2 * math.pi / 4.0
 
 
 class RadiusMethod(str, Enum):
     EXACT_RICCATI = "exact_riccati"
-    EXACT_MULTISTAGE = "exact_multistage"
     RATIO_ESTIMATE = "ratio_estimate"
 
 
@@ -48,86 +45,77 @@ class RadiusReport:
             raise ValueError("radius must be positive (may be inf)")
 
 
-def riccati_radius(y0: float) -> RadiusReport:
-    """Convergence radius of the series for dY/dt = 1 + 2Y - Y^2, Y(0) = y0.
+def _log_z(y0: float) -> tuple[float, float]:
+    """Real and imaginary parts of Log z, z = (y0 - 1 - sqrt(2)) /
+    (y0 + sqrt(2) - 1), for a start off both stationary states.
 
-    The radius is sqrt(2)/4 times the modulus of the principal complex
-    logarithm of (y0 - sqrt(2) - 1) / (y0 + sqrt(2) - 1); taking the
-    modulus keeps the value real when the argument of the log is negative,
-    which happens whenever y0 lies between the two stationary states.
-    Starting exactly on a stationary state gives a constant solution and
-    an infinite radius.
+    The solution from y0 has its poles on the lattice
+    t_k = (Log z + 2 pi i k) / (2 sqrt(2)).  z < 0 whenever y0 lies
+    between the two stationary states, and then no pole is real.
     """
-    y0 = float(y0)
-    if not math.isfinite(y0):
-        raise ValueError("y0 must be finite")
     num = y0 - SQRT2 - 1.0
     den = y0 + SQRT2 - 1.0
+    ratio = num / den
+    if 0.5 < ratio < 2.0:
+        # num = den - 2 sqrt(2): near 1 the ratio's own rounding would
+        # swamp the log, so take log1p of the exact difference instead
+        re = math.log1p(-2.0 * SQRT2 / den)
+    else:
+        re = math.log(abs(ratio))
+    return re, (math.pi if ratio < 0 else 0.0)
+
+
+def _start_log_z(y0: float) -> tuple[float, float] | None:
+    """``_log_z(y0)`` for a finite start, or None on a stationary state."""
+    if not math.isfinite(y0):
+        raise ValueError("y0 must be finite")
     # a few ulps of slack so that the rounded stationary values, e.g.
     # 1 + math.sqrt(2), still land on the constant-solution branch
     snap = 4.0 * np.finfo(float).eps * max(1.0, abs(y0))
-    if abs(num) <= snap or abs(den) <= snap:
+    if abs(y0 - SQRT2 - 1.0) <= snap or abs(y0 + SQRT2 - 1.0) <= snap:
+        return None
+    return _log_z(y0)
+
+
+def riccati_radius(y0: float) -> RadiusReport:
+    """Convergence radius of the series for dY/dt = 1 + 2Y - Y^2, Y(0) = y0.
+
+    The radius is the distance from 0 to the nearest pole of the lattice,
+    sqrt(2)/4 |Log z|.  Starting exactly on a stationary state gives a
+    constant solution and an infinite radius.
+    """
+    y0 = float(y0)
+    log_z = _start_log_z(y0)
+    if log_z is None:
         return RadiusReport(
             math.inf,
             RadiusMethod.EXACT_RICCATI,
             "constant solution at a stationary state; the series terminates",
         )
-    ratio = num / den
-    if 0.5 < ratio < 2.0:
-        # num = den - 2 sqrt(2): near 1 the ratio's own rounding would
-        # swamp the log, so take log1p of the exact difference instead
-        modulus = abs(math.log1p(-2.0 * SQRT2 / den))
-    elif ratio > 0:
-        modulus = abs(math.log(ratio))
-    else:
-        modulus = math.hypot(math.log(-ratio), math.pi)
     return RadiusReport(
-        SQRT2 / 4.0 * modulus,
+        SQRT2 / 4.0 * math.hypot(*log_z),
         RadiusMethod.EXACT_RICCATI,
         f"nearest complex-time pole for y0={y0:.6g}",
     )
 
 
-def riccati_multistage_radius(t: float) -> RadiusReport:
-    """Radius of the series re-expanded about time t along the solution
-    started at zero.
+def riccati_radii(y0: float, times) -> np.ndarray:
+    """Radius of the series re-expanded about each time t of ``times`` (a
+    float or an array), along the solution started at y0: the distance
+    from t to the nearest pole of the lattice, as one array expression.
 
-    Always exceeds sqrt(2)*pi/4 (about 1.11), the value approached at
-    t = sqrt(2)/2 * log(1 + sqrt(2)); restart steps must stay well below
-    that floor for piecewise stepping to converge.  Only the zero initial
-    condition is covered; no closed form is exposed for other starts.
+    From y0 = 0 it always exceeds sqrt(2)*pi/4 (about 1.11), the value
+    reached at t = sqrt(2)/2 * log(1 + sqrt(2)); restart steps must stay
+    well below that floor for piecewise stepping to converge.
     """
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError("t must be finite and non-negative")
-    return RadiusReport(
-        float(_restart_radius(t)),
-        RadiusMethod.EXACT_MULTISTAGE,
-        f"re-expansion about t={t:.6g} of the solution started at zero",
-    )
-
-
-def riccati_multistage_radii(times) -> np.ndarray:
-    """``riccati_multistage_radius(t).radius`` for every t of an array, as
-    one array expression; each value has the bits of the scalar call."""
+    log_z = _start_log_z(float(y0))
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("times must be finite and non-negative")
-    return _restart_radius(times)
-
-
-def _restart_radius(t):
-    """The restart radius at a float or an array of times.  Both run the
-    same operations in the same order, and +, -, * and sqrt round
-    correctly in numpy as in Python, so an array element equals the float
-    result."""
-    radicand = (
-        4.0 * _LOG_SILVER**2
-        - 8.0 * SQRT2 * _LOG_SILVER * t
-        + 8.0 * t * t
-        + math.pi**2
-    )
-    return SQRT2 / 4.0 * np.sqrt(radicand)
+    if log_z is None:
+        return np.full(times.shape, math.inf)
+    re, im = log_z
+    return SQRT2 / 4.0 * np.hypot(re - 2.0 * SQRT2 * times, im)
 
 
 def estimate_radius(s: TruncatedSeries, window: int = 8) -> RadiusReport:

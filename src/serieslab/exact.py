@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convergence import _log_z
 from .models import SQRT2, RICCATI_STATIONARY, ModelInstance
 
 
@@ -52,13 +53,14 @@ def riccati_exact(y0: float, t: float) -> float:
     t = float(t)
     if not (math.isfinite(y0) and math.isfinite(t)):
         raise ValueError("y0 and t must be finite")
-    # ratio of distances to the two stationary states; it evolves as a pure
-    # exponential, which is what makes the pole location explicit
+    # the ratio of distances to the two stationary states evolves as a pure
+    # exponential, which puts the poles on a lattice; one of them is real
+    # when the ratio is positive
     num0 = y0 + SQRT2 - 1.0
     if num0 != 0.0 and y0 != RICCATI_STATIONARY:
-        z = (y0 - RICCATI_STATIONARY) / num0
-        if z > 0.0:
-            pole = math.log(z) / (2.0 * SQRT2)
+        re, im = _log_z(y0)
+        if im == 0.0:
+            pole = re / (2.0 * SQRT2)
             if (pole > 0.0 and t >= pole) or (pole < 0.0 and t <= pole):
                 raise BlowUpError(
                     f"solution from y0={y0:.6g} has a real pole at t={pole:.6g}",

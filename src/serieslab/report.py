@@ -20,6 +20,18 @@ class ReportRow:
     criterion: str            # the pass rule, spelled out
     source: str               # where the reference value comes from
 
+    def csv_cells(self) -> tuple:
+        """The row's cells under ``CSV_COLUMNS``; commas in the free text
+        become semicolons, so every line keeps its column count."""
+        return (self.quantity, self.computed, self.reference, self.rel_error,
+                self.passed, self.criterion.replace(",", ";"),
+                self.source.replace(",", ";"))
+
+
+#: the columns of ``ReportRow.csv_cells``
+CSV_COLUMNS = ("quantity", "computed", "reference", "rel_error", "passed",
+               "criterion", "source")
+
 
 @dataclass
 class ComparisonReport:
@@ -61,21 +73,8 @@ class ComparisonReport:
         txt = directory / "report.txt"
         txt.write_text(self.to_text(), encoding="utf-8")
         csv = write_csv(
-            directory / "report.csv",
-            ["quantity", "computed", "reference", "rel_error", "passed",
-             "criterion", "source"],
-            [
-                (
-                    row.quantity,
-                    row.computed,
-                    row.reference,
-                    row.rel_error,
-                    row.passed,
-                    row.criterion.replace(",", ";"),
-                    row.source.replace(",", ";"),
-                )
-                for row in self.rows
-            ],
+            directory / "report.csv", CSV_COLUMNS,
+            [row.csv_cells() for row in self.rows],
             meta={"scenario": self.scenario, **self.meta},
         )
         return [txt, csv]

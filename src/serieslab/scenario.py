@@ -26,8 +26,7 @@ from .convergence import (
     MULTISTAGE_RADIUS_FLOOR,
     NotEstimableError,
     estimate_radius,
-    riccati_multistage_radii,
-    riccati_multistage_radius,
+    riccati_radii,
     riccati_radius,
 )
 from .csvout import write_csv
@@ -429,10 +428,11 @@ class _Runner:
     def restart_min_rows(self):
         from scipy.optimize import minimize_scalar
 
+        y0 = float(self.model.initial_state[0])
         span = max(10.0, self.config.t_end)
-        coarse = riccati_multistage_radii(np.linspace(0.0, span, 2001))
+        coarse = riccati_radii(y0, np.linspace(0.0, span, 2001))
         best = minimize_scalar(
-            lambda t: riccati_multistage_radius(t).radius,
+            lambda t: riccati_radii(y0, t),
             bounds=(0.0, span), method="bounded", options={"xatol": 1e-12})
         computed = min(float(np.min(coarse)), float(best.fun))
         return [self.row("multistage_radius_min", computed, _near(
@@ -590,7 +590,8 @@ class _Analysis:
 
 
 def _starts_at_zero(state) -> bool:
-    # the restart radius is known in closed form only along this solution
+    # the row's reference, the floor sqrt(2)*pi/4, is the restart radius's
+    # minimum only for starts in (1 - sqrt(2), 1]; zero is such a start
     return len(state) > 0 and float(state[0]) == 0.0
 
 

@@ -44,21 +44,6 @@ class TruncatedSeries:
         return self.coefficients.size - 1
 
 
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum of two series of equal order."""
-    if a.order != b.order:
-        raise ValueError("series orders differ")
-    return TruncatedSeries(a.coefficients + b.coefficients)
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated back to the common order."""
-    if a.order != b.order:
-        raise ValueError("series orders differ")
-    full = np.convolve(a.coefficients, b.coefficients)
-    return TruncatedSeries(full[: a.order + 1])
-
-
 def eval_series(s: TruncatedSeries, t):
     """Evaluate the series at t (scalar or array) in Horner form."""
     t = np.asarray(t, dtype=float)

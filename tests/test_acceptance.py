@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
 from serieslab.cli import main
-from serieslab.convergence import riccati_multistage_radius, riccati_radius
+from serieslab.convergence import riccati_radii, riccati_radius
 from serieslab.exact import lv_conserved, riccati_exact, sir_endpoints
 from serieslab.figures import polyline_self_intersects
 from serieslab.integrators import (
@@ -49,11 +49,10 @@ def test_02_radius_start_at_five():
 
 def test_03_restart_radius_floor():
     floor = math.sqrt(2.0) * math.pi / 4.0
-    result = minimize_scalar(lambda t: riccati_multistage_radius(t).radius,
+    result = minimize_scalar(lambda t: riccati_radii(0.0, t),
                              bounds=(0.0, 10.0), method="bounded",
                              options={"xatol": 1e-12})
-    coarse = min(riccati_multistage_radius(t).radius
-                 for t in np.linspace(0.0, 10.0, 4001))
+    coarse = float(np.min(riccati_radii(0.0, np.linspace(0.0, 10.0, 4001))))
     smallest = min(float(result.fun), coarse)
     ok = abs(smallest - floor) <= 1e-4 and abs(smallest - 1.1107) <= 1e-4
     check(3, ok, f"min restart radius on [0, 10] = {smallest:.6f} "

@@ -13,8 +13,7 @@ from serieslab.convergence import (
     RadiusMethod,
     RadiusReport,
     estimate_radius,
-    riccati_multistage_radii,
-    riccati_multistage_radius,
+    riccati_radii,
     riccati_radius,
 )
 from serieslab.exact import riccati_exact
@@ -78,15 +77,15 @@ def test_radius_matches_nearest_pole_modulus():
 
 
 def test_multistage_radius_at_zero_matches_plain_radius():
-    assert abs(riccati_multistage_radius(0.0).radius - RADIUS_ZERO_START) < 1e-12
+    assert abs(riccati_radii(0.0, 0.0) - RADIUS_ZERO_START) < 1e-12
 
 
 def test_multistage_radius_floor():
     ts = np.linspace(0.0, 100.0, 5001)
-    values = np.array([riccati_multistage_radius(t).radius for t in ts])
+    values = riccati_radii(0.0, ts)
     assert np.all(values >= MULTISTAGE_RADIUS_FLOOR - 1e-12)
     t_star = SQRT2 / 2.0 * math.log(SQRT2 + 1.0)
-    assert abs(riccati_multistage_radius(t_star).radius - MULTISTAGE_RADIUS_FLOOR) < 1e-12
+    assert abs(riccati_radii(0.0, t_star) - MULTISTAGE_RADIUS_FLOOR) < 1e-12
     # the floor is approached only near t_star
     away = values[np.abs(ts - t_star) > 0.5]
     assert np.all(away > MULTISTAGE_RADIUS_FLOOR + 1e-3)
@@ -100,27 +99,30 @@ def test_multistage_radius_at_ten_matches_pole_oracle():
         abs(complex(math.log(abs(z)), (2 * k + 1) * math.pi)) / (2.0 * SQRT2)
         for k in range(-2, 3)
     )
-    got = riccati_multistage_radius(10.0).radius
+    got = riccati_radii(0.0, 10.0)
     assert abs(got - 9.442330509322336) < 1e-9
     assert abs(got - nearest) / nearest < 1e-4
 
 
 def test_multistage_radius_rejects_negative_time():
     with pytest.raises(ValueError):
-        riccati_multistage_radius(-1.0)
-
-
-@pytest.mark.parametrize("span", [10.0, 12.5, 30.0, 1000.0])
-def test_multistage_radii_match_the_scalar_calls_bit_for_bit(span):
-    grid = np.linspace(0.0, span, 2001)
-    scalar = np.array([riccati_multistage_radius(t).radius for t in grid])
-    assert riccati_multistage_radii(grid).tobytes() == scalar.tobytes()
+        riccati_radii(0.0, -1.0)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
 def test_multistage_radii_reject_what_the_scalar_rejects(bad):
+    # an array of times is rejected for any element a single time would be
     with pytest.raises(ValueError):
-        riccati_multistage_radii([0.0, bad])
+        riccati_radii(0.0, bad)
+    with pytest.raises(ValueError):
+        riccati_radii(0.0, [0.0, bad])
+
+
+def test_radii_of_stationary_and_non_finite_starts():
+    for y0 in (RICCATI_STATIONARY, 1.0 + math.sqrt(2.0), RICCATI_UNSTABLE):
+        assert np.all(riccati_radii(y0, [0.0, 1.0, 50.0]) == math.inf)
+    with pytest.raises(ValueError):
+        riccati_radii(math.nan, [0.0])
 
 
 def test_estimate_geometric_series_is_exact():
@@ -213,6 +215,56 @@ def test_radius_near_the_log1p_switch_matches_multiprecision():
         radius = riccati_radius(float(y0)).radius
         assert radius == pytest.approx(mp_riccati_radius(float(y0)),
                                        rel=4 * np.finfo(float).eps, abs=0)
+
+
+# -- the pole lattice about later times ---------------------------------------
+
+LATTICE_STARTS = (0.0, -0.3, 0.9, 2.0, 5.0, -2.0, 40.0, -1e6)
+
+
+def mp_lattice_radii(y0, times):
+    """min_k |t_k - t| over the poles t_k = (Log z + 2 pi i k) / (2 sqrt(2))
+    in 60-digit arithmetic; k in {-1, 0, 1} holds the nearest pole."""
+    with mpmath.workdps(60):
+        root2 = mpmath.sqrt(2)
+        y = mpmath.mpf(y0)
+        log_z = mpmath.log(mpmath.mpc((y - 1 - root2) / (y + root2 - 1)))
+        poles = [(log_z + 2j * mpmath.pi * k) / (2 * root2) for k in (-1, 0, 1)]
+        return np.array([float(min(abs(p - mpmath.mpf(t)) for p in poles))
+                         for t in times])
+
+
+def test_radii_at_zero_within_one_ulp_of_the_radius():
+    # np.hypot and math.hypot may round the same pair differently in the
+    # last bit, so the two functions agree to 1 ulp rather than bit for bit
+    rng = np.random.default_rng(0)
+    starts = (*LATTICE_STARTS, *rng.uniform(-50.0, 50.0, 2000),
+              1e15, -1e17, 1e200, -1e200)
+    for y0 in starts:
+        radius = riccati_radius(float(y0)).radius
+        assert abs(riccati_radii(float(y0), [0.0])[0] - radius) <= np.spacing(radius)
+
+
+@pytest.mark.parametrize("y0", LATTICE_STARTS)
+def test_radii_match_the_multiprecision_lattice(y0):
+    # measured worst 2.1 eps; the grid's step of 0.5 keeps clear of the
+    # real pole of y0 = -2 at t = 0.362, near which re - 2 sqrt(2) t cancels
+    # and no float formula keeps a relative accuracy
+    grid = np.linspace(0.0, 1000.0, 2001)
+    got = riccati_radii(y0, grid)
+    want = mp_lattice_radii(y0, grid)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+
+
+@pytest.mark.parametrize("y0", [0.0, -0.3, 0.9, 2.0, 5.0, 40.0])
+def test_radii_equal_the_radius_of_the_state_reached(y0):
+    # the model is autonomous: the radius about t is the radius of a fresh
+    # start at Y(t).  Measured worst 2.5e-13, from the cancellation in
+    # Y(t) - (1 + sqrt(2)) as Y(t) nears the attracting state
+    ts = np.linspace(0.0, 3.0, 301)
+    fresh = np.array([riccati_radius(riccati_exact(y0, float(t))).radius
+                      for t in ts])
+    assert np.all(np.abs(riccati_radii(y0, ts) - fresh) <= 1e-12 * fresh)
 
 
 # -- the ratio test against the array version ---------------------------------

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from serieslab.convergence import riccati_radius
 from serieslab.exact import (
     BlowUpError,
     BracketError,
@@ -70,6 +71,34 @@ def test_riccati_exact_backward_pole_above_stationary_state():
     assert info.value.pole_time < 0
     # forward evaluation is fine
     assert riccati_exact(5.0, 10.0) == pytest.approx(RICCATI_STATIONARY, abs=1e-6)
+
+
+@pytest.mark.parametrize("y0, t", [(-2.0, 5.0), (-5.0, 5.0), (-1e6, 5.0),
+                                   (5.0, -10.0), (40.0, -10.0)])
+def test_riccati_exact_pole_time_matches_multiprecision(y0, t):
+    with pytest.raises(BlowUpError) as info:
+        riccati_exact(y0, t)
+    with mpmath.workdps(60):
+        root2 = mpmath.sqrt(2)
+        y = mpmath.mpf(y0)
+        pole = float(mpmath.log((y - 1 - root2) / (y + root2 - 1)) / (2 * root2))
+    assert info.value.pole_time == pytest.approx(pole, rel=4 * np.finfo(float).eps, abs=0)
+
+
+def test_riccati_exact_blows_up_next_to_the_stationary_states():
+    # riccati_radius snaps these starts to the constant solution, but the
+    # closed form treats only an exactly stationary start as constant: just
+    # outside the two states a real pole lies far out in time
+    below = RICCATI_UNSTABLE - 5e-16
+    above = math.nextafter(RICCATI_STATIONARY, math.inf)
+    assert riccati_radius(below).radius == riccati_radius(above).radius == math.inf
+    with pytest.raises(BlowUpError) as info:
+        riccati_exact(below, 100.0)
+    assert 0 < info.value.pole_time < 100.0
+    with pytest.raises(BlowUpError) as info:
+        riccati_exact(above, -100.0)
+    assert -100.0 < info.value.pole_time < 0
+    assert riccati_exact(RICCATI_STATIONARY, 100.0) == RICCATI_STATIONARY
 
 
 def test_riccati_exact_between_fixed_points_is_global():

@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 
 import serieslab.scenario
 from serieslab.cli import main
-from serieslab.convergence import riccati_multistage_radius
+from serieslab.convergence import riccati_radii
 from serieslab.figures import FIGURE_IDS, reproduce_figure
 from serieslab.integrators import DivergenceError, reference_integrate
 from serieslab.models import PolynomialVectorField
@@ -345,9 +345,8 @@ def test_restart_min_row_matches_the_scalar_grid_and_minimiser(t_end, tmp_path):
     row, = [r for r in run_scenario(config, tmp_path, fmt="csv").rows
             if r.quantity == "multistage_radius_min"]
     span = max(10.0, t_end)
-    coarse = [riccati_multistage_radius(t).radius
-              for t in np.linspace(0.0, span, 2001)]
-    best = minimize_scalar(lambda t: riccati_multistage_radius(t).radius,
+    coarse = [riccati_radii(0.0, t) for t in np.linspace(0.0, span, 2001)]
+    best = minimize_scalar(lambda t: riccati_radii(0.0, t),
                            bounds=(0.0, span), method="bounded",
                            options={"xatol": 1e-12})
     assert row.computed == min(float(np.min(coarse)), float(best.fun))

@@ -16,8 +16,6 @@ from serieslab.series import (
     eval_series,
     generate_taylor_solution,
     recursion_loop,
-    series_add,
-    series_mul,
     straight_line_kernel,
     taylor_coefficients,
 )
@@ -39,31 +37,7 @@ def sir_fast():
     return make_model("sir", dict(beta=1.0, gamma=1.0), [20.0, 4.0, 10.0])
 
 
-# -- arithmetic --------------------------------------------------------------
-
-def test_mul_identity():
-    one = TruncatedSeries([1.0, 0.0, 0.0])
-    assert np.array_equal(series_mul(one, one).coefficients, [1.0, 0.0, 0.0])
-
-
-def test_mul_t_times_t():
-    t = TruncatedSeries([0.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(series_mul(t, t).coefficients, [0.0, 0.0, 1.0, 0.0])
-
-
-def test_mul_truncates():
-    s = TruncatedSeries([1.0, 1.0])
-    assert np.array_equal(series_mul(s, s).coefficients, [1.0, 2.0])
-
-
-def test_order_mismatch_rejected():
-    a = TruncatedSeries([1.0, 2.0])
-    b = TruncatedSeries([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        series_add(a, b)
-    with pytest.raises(ValueError):
-        series_mul(a, b)
-
+# -- validation and evaluation ------------------------------------------------
 
 def test_series_validation():
     with pytest.raises(ValueError):
@@ -77,30 +51,10 @@ finite_lists = st.lists(
 )
 
 
-@given(finite_lists, finite_lists)
-@settings(max_examples=60, deadline=None)
-def test_mul_matches_direct_cauchy_product(xs, ys):
-    n = min(len(xs), len(ys))
-    a = TruncatedSeries(xs[:n])
-    b = TruncatedSeries(ys[:n])
-    got = series_mul(a, b).coefficients
-    want = np.zeros(n)
-    slack = np.zeros(n)
-    for k in range(n):
-        want[k] = math.fsum(xs[i] * ys[k - i] for i in range(k + 1))
-        slack[k] = math.fsum(abs(xs[i] * ys[k - i]) for i in range(k + 1))
-    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + slack))
-    flipped = series_mul(b, a).coefficients
-    assert np.all(np.abs(got - flipped) <= 1e-13 * (1.0 + slack))
-
-
 @given(finite_lists)
 @settings(max_examples=60, deadline=None)
-def test_add_and_eval_basics(xs):
-    s = TruncatedSeries(xs)
-    doubled = series_add(s, s)
-    assert np.array_equal(doubled.coefficients, 2 * np.asarray(xs))
-    assert eval_series(s, 0.0) == xs[0]
+def test_eval_at_zero_is_the_constant_term(xs):
+    assert eval_series(TruncatedSeries(xs), 0.0) == xs[0]
 
 
 def test_eval_series_horner():
