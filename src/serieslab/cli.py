@@ -22,10 +22,28 @@ from .convergence import estimate_radius, riccati_radius
 from .csvout import write_csv
 from .exact import sir_endpoints
 from .figures import FIGURE_IDS, reproduce_figure
+from .integrators import TOL_RANGE
 from .models import build_riccati, make_model
 from .report import CSV_COLUMNS
 from .scenario import load_preset, preset_names, run_scenario, validate_config
 from .series import generate_taylor_solution
+
+
+def order(text: str) -> int:
+    """``--order``: a series order, at least 1 as a config file's."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def tolerance(text: str) -> float:
+    """``--tol``: a tolerance that ``reference_integrate`` accepts."""
+    value = float(text)
+    lo, hi = TOL_RANGE
+    if not (lo <= value <= hi):
+        raise argparse.ArgumentTypeError(f"must lie in [{lo:g}, {hi:g}]")
+    return value
 
 
 def _add_common(parser, overrides=True):
@@ -34,9 +52,9 @@ def _add_common(parser, overrides=True):
                         choices=("csv", "svg", "both"),
                         help="artifact formats to write")
     if overrides:  # a figure draws its preset as the preset stands
-        parser.add_argument("--order", type=int, default=None,
+        parser.add_argument("--order", type=order, default=None,
                             help="override the series order")
-        parser.add_argument("--tol", type=float, default=1e-10,
+        parser.add_argument("--tol", type=tolerance, default=1e-10,
                             help="reference integrator tolerance")
 
 

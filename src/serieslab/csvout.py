@@ -39,9 +39,6 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> Path:
         # every cell is a float, whose format_cell is its repr
         lines.extend(",".join(map(repr, row)) for row in rows.tolist())
     else:
-        if isinstance(rows, np.ndarray):
-            # plain Python scalars format without a per-cell .item() call
-            rows = rows.tolist()
         lines.extend(",".join(map(format_cell, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

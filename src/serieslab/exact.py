@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convergence import _log_z
-from .models import SQRT2, RICCATI_STATIONARY, ModelInstance
+from .models import SQRT2, RICCATI_STATIONARY, RICCATI_STATIONARY_ERROR, ModelInstance
 
 
 class BlowUpError(ArithmeticError):
@@ -66,7 +66,7 @@ def riccati_exact(y0: float, t: float) -> float:
                     f"solution from y0={y0:.6g} has a real pole at t={pole:.6g}",
                     pole_time=pole,
                 )
-    if t == 0.0:
+    if t == 0.0 or y0 == RICCATI_STATIONARY:
         return y0
     if t > 0.0:
         # divide through by exp(2*sqrt(2)*t) so large times cannot overflow
@@ -74,9 +74,16 @@ def riccati_exact(y0: float, t: float) -> float:
         num = (SQRT2 + 1.0) * num0 + (y0 * (SQRT2 - 1.0) - 1.0) * decay
         den = num0 + (SQRT2 + 1.0 - y0) * decay
     else:
+        # backward in time what is left of y0 is its distance to 1 + sqrt(2)
+        # times sqrt(2) - 1, the distance of 1 - sqrt(2) from 0.  Both take
+        # the rounding of the float 1 + sqrt(2) back in, so a start next to
+        # it keeps its digits and a start between the states falls to the
+        # correctly rounded 1 - sqrt(2)
         grow = math.exp(2.0 * SQRT2 * t)
-        num = (SQRT2 + 1.0) * num0 * grow + y0 * (SQRT2 - 1.0) - 1.0
-        den = num0 * grow - y0 + SQRT2 + 1.0
+        above = (y0 - RICCATI_STATIONARY) + RICCATI_STATIONARY_ERROR
+        silver = (RICCATI_STATIONARY - 2.0) - RICCATI_STATIONARY_ERROR
+        num = (SQRT2 + 1.0) * num0 * grow + silver * above
+        den = num0 * grow - above
     return num / den
 
 

@@ -31,6 +31,9 @@ DEEP_DECAY_ATOL = 1e-140
 #: beyond this share of its error scale (see polyline_self_intersects)
 ORIENTATION_EPS = 8 * np.finfo(float).eps
 
+#: how far in time lv_orbit_period looks for two upward crossings
+ORBIT_SEARCH_TIME = 200.0
+
 
 def polyline_self_intersects(points) -> bool:
     """True if any two non-adjacent segments of the polyline cross properly.
@@ -92,7 +95,7 @@ def polyline_self_intersects(points) -> bool:
     return False
 
 
-def lv_orbit_period(model: ModelInstance, t_max: float = 200.0) -> float:
+def lv_orbit_period(model: ModelInstance) -> float:
     """Orbital period of a predator-prey solution, from two successive
     upward crossings of the center's predator level y = a/b.
 
@@ -118,7 +121,7 @@ def lv_orbit_period(model: ModelInstance, t_max: float = 200.0) -> float:
     crossing.terminal = 2
     sol = solve_ivp(
         lambda t, u: model.field.evaluate(u),
-        (0.0, t_max),
+        (0.0, ORBIT_SEARCH_TIME),
         model.initial_state,
         method="DOP853",
         rtol=1e-12,

@@ -84,10 +84,6 @@ def multistage_taylor(
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    if not step > 0:
-        raise ValueError("step must be positive")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
     times, states, failed = taylor_path(model.field, model.initial_state, order,
                                         step, t_end)
     if failed is not None:
@@ -124,6 +120,9 @@ LOG_ATOL_SHARE = 1e-2
 #: DIVERGENCE_LIMIT in log coordinates
 LOG_DIVERGENCE_LIMIT = math.log(DIVERGENCE_LIMIT)
 
+#: the tolerances reference_integrate accepts
+TOL_RANGE = (1e-13, 1e-3)
+
 
 def reference_integrate(
     model: ModelInstance,
@@ -152,8 +151,9 @@ def reference_integrate(
     solver.  The trajectory is sampled on ``grid`` (defaults to 401
     uniform points).
     """
-    if not (1e-13 <= tol <= 1e-3):
-        raise ValueError("tol must lie in [1e-13, 1e-3]")
+    lo, hi = TOL_RANGE
+    if not (lo <= tol <= hi):
+        raise ValueError(f"tol must lie in [{lo:g}, {hi:g}]")
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     u0 = np.asarray(model.initial_state, dtype=float)

@@ -29,6 +29,9 @@ SQRT2 = math.sqrt(2.0)
 #: attracting zero of 1 + 2y - y^2; solutions approach it as t -> infinity
 RICCATI_STATIONARY = 1.0 + SQRT2
 
+#: RICCATI_STATIONARY minus the true 1 + sqrt(2): the float's rounding
+RICCATI_STATIONARY_ERROR = -1.2537167179050217e-16
+
 #: repelling zero of 1 + 2y - y^2; solutions started below it blow up
 RICCATI_UNSTABLE = 1.0 - SQRT2
 

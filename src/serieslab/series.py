@@ -81,11 +81,11 @@ class SeriesSolution:
         return self.components[0].order
 
 
-#: highest order the straight-line kernel runs.  At order N a product
-#: coefficient adds at most N terms.  numpy's valid-mode correlate, which
-#: the loop for higher orders calls, adds up to 11 terms one by one from
-#: 0.0 as the kernel does, and 12 or more in another order, so only up to
-#: order 11 do the kernel and the loop round alike.
+#: highest order the compiled stage loop of ``taylor_path`` runs.  At
+#: order N a product coefficient adds at most N terms.  numpy's valid-mode
+#: correlate, which ``recursion_loop`` calls, adds up to 11 terms one by
+#: one from 0.0 as the stage loop does, and 12 or more in another order,
+#: so only up to order 11 do the stage loop and the recursion round alike.
 KERNEL_MAX_ORDER = 11
 
 
@@ -125,24 +125,6 @@ def _recursion_lines(shape, order: int, indent: str):
             terms = "".join(f" + {c} * {u(op, k)}" for c, op in zip(eq_names, ops))
             lines.append(f"{indent}{u(i, k + 1)} = (0.0{terms}) / {float(k + 1)!r}")
     return [name for eq in term_names for name in eq], lines, u
-
-
-def _kernel_source(shape, order: int) -> str:
-    """``kernel(state, coefficients)``: the recursion, returning one tuple
-    of coefficients per component."""
-    dim = shape[0]
-    names, body, u = _recursion_lines(shape, order, "    ")
-    series = ", ".join(
-        "(" + ", ".join(u(i, k) for k in range(order + 1)) + ",)"
-        for i in range(dim))
-    lines = [
-        "def kernel(state, coefficients):",
-        f"    [{', '.join(names)}] = coefficients",
-        f"    [{', '.join(u(i, 0) for i in range(dim))}] = state",
-        *body,
-        f"    return ({series},)",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def _path_source(shape, order: int) -> str:
@@ -192,9 +174,8 @@ def _path_source(shape, order: int) -> str:
 
 def _loop_source(shape) -> str:
     """``loop(w, state, coefficients, order, correlate)``: the recursion
-    for orders above ``KERNEL_MAX_ORDER``, filling the operand rows of
-    ``w`` (state rows from column 1 on, product rows that another row
-    reads) for k = 0 .. order-1.
+    at any order, filling the operand rows of ``w`` (state rows from
+    column 1 on, product rows that another row reads) for k = 0 .. order-1.
 
     Each product coefficient is one valid-mode correlate of the two
     operand rows, ``np.correlate(w[left, :k+1], w[right, k::-1])``, which
@@ -249,32 +230,21 @@ def _compile(source: str, name: str, label: str):
 
 
 @lru_cache(maxsize=128)
-def straight_line_kernel(shape, order: int):
-    """The compiled recursion for a ``ProductPlan.shape`` and an order:
-    ``kernel(state values, plan.coefficients)`` returns one tuple of
-    coefficients per component.  Cached, so one compile serves every
-    field of a family."""
-    return _compile(_kernel_source(shape, order), "kernel",
-                    f"taylor kernel, order {order}")
-
-
-@lru_cache(maxsize=128)
 def straight_line_path(shape, order: int):
     """The compiled stage loop of ``taylor_path`` for a
     ``ProductPlan.shape`` and an order:
-    ``path(state values, plan.coefficients, step, t_end)``.  Cached like
-    ``straight_line_kernel``."""
+    ``path(state values, plan.coefficients, step, t_end)``.  Cached, so
+    one compile serves every field of a family."""
     return _compile(_path_source(shape, order), "path",
                     f"taylor path, order {order}")
 
 
 @lru_cache(maxsize=128)
 def recursion_loop(shape):
-    """The compiled recursion for orders above ``KERNEL_MAX_ORDER`` and a
-    ``ProductPlan.shape``: ``loop(w, state values, plan.coefficients,
-    order, np.correlate)``.  The order is an argument, so one compile
-    serves every field and order of a family; cached like
-    ``straight_line_kernel``."""
+    """The compiled recursion for a ``ProductPlan.shape``: ``loop(w,
+    state values, plan.coefficients, order, np.correlate)``.  The order is
+    an argument and the result is cached, so one compile serves every
+    field and order of a family."""
     return _compile(_loop_source(shape), "loop", "taylor loop")
 
 
@@ -284,9 +254,8 @@ def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.n
 
     Row i holds c_{i,0}..c_{i,N} with c_{i,0} = state[i].  Coefficient
     k+1 only consumes coefficients 0..k, so every returned value is the
-    exact Taylor coefficient up to floating-point rounding.  Orders up to
-    ``KERNEL_MAX_ORDER`` run the plan's straight-line kernel, higher ones
-    its compiled loop over orders; both round every sum alike.
+    exact Taylor coefficient up to floating-point rounding.  Every order
+    runs the plan's compiled loop over orders (``recursion_loop``).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -294,9 +263,6 @@ def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.n
     if state.shape != (field.dimension,):
         raise ValueError("state length must equal the field dimension")
     plan = field.plan
-    if order <= KERNEL_MAX_ORDER:
-        kernel = straight_line_kernel(plan.shape, order)
-        return np.array(kernel(state.tolist(), plan.coefficients))
     dim = field.dimension
     # one row per operand of the plan: the state variables, the constant
     # 1 (the series 1, 0, 0, ..., so a constant monomial adds only at

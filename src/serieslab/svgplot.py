@@ -39,13 +39,14 @@ def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 class LinePlot:
     """Accumulates labelled curves, then renders one SVG."""
 
-    def __init__(self, title: str, xlabel: str, ylabel: str,
-                 width: int = 760, height: int = 520):
+    #: canvas size in pixels, the same for every plot
+    width = 760
+    height = 520
+
+    def __init__(self, title: str, xlabel: str, ylabel: str):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
-        self.width = width
-        self.height = height
         self.curves = []
         self._xlim = None
         self._ylim = None

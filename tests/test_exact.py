@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from serieslab.convergence import riccati_radius
 from serieslab.exact import (
@@ -18,7 +20,13 @@ from serieslab.exact import (
     sir_z_of_x,
 )
 from serieslab.integrators import reference_integrate
-from serieslab.models import RICCATI_STATIONARY, RICCATI_UNSTABLE, build_riccati, make_model
+from serieslab.models import (
+    RICCATI_STATIONARY,
+    RICCATI_STATIONARY_ERROR,
+    RICCATI_UNSTABLE,
+    build_riccati,
+    make_model,
+)
 
 
 def sir_slow():
@@ -99,6 +107,44 @@ def test_riccati_exact_blows_up_next_to_the_stationary_states():
         riccati_exact(above, -100.0)
     assert -100.0 < info.value.pole_time < 0
     assert riccati_exact(RICCATI_STATIONARY, 100.0) == RICCATI_STATIONARY
+    assert riccati_exact(RICCATI_STATIONARY, -100.0) == RICCATI_STATIONARY
+
+
+def riccati_50_digits(y0, t):
+    """The closed form (Y - a)/(Y - b) = z0 exp(-2 sqrt(2) t), with a and b
+    the two stationary states, solved for Y in 50 digits."""
+    with mpmath.workdps(50):
+        root2 = mpmath.sqrt(2)
+        a, b = 1 + root2, 1 - root2
+        y = mpmath.mpf(y0)
+        z = (y - a) / (y - b) * mpmath.exp(-2 * root2 * mpmath.mpf(t))
+        return (a - b * z) / (1 - z)
+
+
+def test_riccati_stationary_error_is_the_rounding_of_one_plus_root_two():
+    with mpmath.workdps(50):
+        error = mpmath.mpf(RICCATI_STATIONARY) - (1 + mpmath.sqrt(2))
+        assert RICCATI_STATIONARY_ERROR == float(error)
+        assert abs(error - RICCATI_STATIONARY_ERROR) < mpmath.mpf(10) ** -30
+
+
+def test_riccati_exact_backward_between_the_stationary_states():
+    # backward in time every start in (1 - sqrt(2), 1 + sqrt(2)) falls to the
+    # repelling state; starts within a few ulps of 1 + sqrt(2) leave it only
+    # through a distance of the order of the float's rounding.  Error is
+    # taken relative to max(1, |Y|): where Y crosses zero the closed form
+    # subtracts two terms of the same size and keeps only absolute digits
+    below = math.nextafter(RICCATI_STATIONARY, 0.0)
+    assert riccati_exact(below, -100.0) == pytest.approx(RICCATI_UNSTABLE, rel=1e-15)
+    rng = np.random.default_rng(2000)
+    gaps = (RICCATI_STATIONARY - RICCATI_UNSTABLE) * 10.0 ** rng.uniform(-16.0, 0.0, 2000)
+    times = -rng.uniform(0.0, 100.0, 2000)
+    for gap, t in zip(gaps.tolist(), times.tolist()):
+        y0 = RICCATI_STATIONARY - gap
+        if not y0 > RICCATI_UNSTABLE:
+            continue
+        want = riccati_50_digits(y0, t)
+        assert abs(riccati_exact(y0, t) - want) <= 1e-13 * max(1, abs(want))
 
 
 def test_riccati_exact_between_fixed_points_is_global():
@@ -199,20 +245,33 @@ def test_endpoints_definitions_hold():
     assert max(sir_y_of_x(float(x), model) for x in xg) <= ends.y_peak + 1e-9
 
 
+def bisect_45_digits(f, lo, hi):
+    """The root of f, increasing on [lo, hi] from f(lo) < 0 to f(hi) > 0,
+    by bisection to 45 digits: slow, but it cannot miss, even where the
+    root nearly doubles up with the peak."""
+    while hi - lo > mpmath.mpf(10) ** -45 * max(abs(lo), abs(hi)):
+        mid = (lo + hi) / 2
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def sir_roots_50_digits(beta, gamma, x0, y0):
     """x_limit and, with an epidemic, x_over: 50-digit roots of the
-    endpoint equations in s = ln(x/x0), bracketed below the peak."""
+    endpoint equations in s = ln(x/x0), bracketed below the peak, where
+    both equations increase."""
     with mpmath.workdps(50):
         beta, gamma, x0, y0 = (mpmath.mpf(v) for v in (beta, gamma, x0, y0))
         rho = gamma / beta
         peak = mpmath.log(rho / x0) if x0 > rho else mpmath.mpf(0)
-        s_limit = mpmath.findroot(
-            lambda s: y0 - x0 * mpmath.expm1(s) + rho * s,
-            (-2 * (x0 + y0) / rho, peak), solver="anderson")
+        s_limit = bisect_45_digits(lambda s: y0 - x0 * mpmath.expm1(s) + rho * s,
+                                   -2 * (x0 + y0) / rho, peak)
         roots = [x0 * mpmath.exp(s_limit)]
         if x0 > rho:
-            s_over = mpmath.findroot(lambda s: rho * s - x0 * mpmath.expm1(s),
-                                     (s_limit, peak), solver="anderson")
+            s_over = bisect_45_digits(lambda s: rho * s - x0 * mpmath.expm1(s),
+                                      s_limit, peak)
             roots.append(x0 * mpmath.exp(s_over))
         # each root solves its equation as first stated in x
         for root, target in zip(roots, (0, y0)):
@@ -240,6 +299,41 @@ def test_endpoints_match_a_50_digit_oracle(beta, gamma, start):
     assert len(got) == len(exact)
     for value, root in zip(got, exact):
         assert float(abs(value - root) / root) < ENDPOINT_ERROR_BOUND
+
+
+@given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-2.0, 3.0),
+       st.floats(-2.0, 3.0))
+@example(-2.0, -0.3, 1.3, 0.6)      # no epidemic: x0 = 20 <= rho = 50
+@example(4.0, -4.0, 3.0, 3.0)       # rho = 1e-8: the die-out point underflows
+@settings(max_examples=200, deadline=None)
+def test_endpoints_sweep_matches_a_50_digit_oracle(log_beta, log_gamma, log_x0, log_y0):
+    # rates from 1e-4 to 1e4, starts with and without an epidemic
+    # (x0 <= gamma/beta), die-out points from x0 down to below the smallest
+    # float.  A root is found to ``tol`` = 1e-12 in s = ln(x/x0), and x =
+    # x0*exp(s) adds the rounding of s, |s|*eps
+    beta, gamma, x0, y0 = (10.0 ** v for v in (log_beta, log_gamma, log_x0, log_y0))
+    model = make_model("sir", dict(beta=beta, gamma=gamma), [x0, y0, 0.0])
+    exact = sir_roots_50_digits(beta, gamma, x0, y0)
+    if float(exact[0]) == 0.0:
+        with pytest.raises(ArithmeticError, match="below the smallest float"):
+            sir_endpoints(model)
+        return
+    if exact[0] < 1e-300:
+        # subnormal die-out points keep only absolute digits; they may
+        # round to 0, which raises, but never read 0 or NaN
+        try:
+            assert 0.0 < sir_endpoints(model).x_limit < 1e-299
+        except ArithmeticError:
+            pass
+        return
+    ends = sir_endpoints(model)
+    assert ends.epidemic_occurs == (x0 > gamma / beta)
+    got = [ends.x_limit] + ([ends.x_over] if ends.epidemic_occurs else [])
+    assert len(got) == len(exact)
+    for value, root in zip(got, exact):
+        s = abs(float(mpmath.log(root / x0)))
+        bound = 1e-12 + 4 * np.finfo(float).eps * (s + 1)
+        assert float(abs(value - root) / root) < bound
 
 
 def test_endpoints_below_the_smallest_float_raise():

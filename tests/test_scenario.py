@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import serieslab.cli
 import serieslab.scenario
 from serieslab.cli import main
 from serieslab.convergence import riccati_radii
 from serieslab.figures import FIGURE_IDS, reproduce_figure
-from serieslab.integrators import DivergenceError, reference_integrate
-from serieslab.models import PolynomialVectorField
+from serieslab.integrators import TOL_RANGE, DivergenceError, reference_integrate
+from serieslab.models import PolynomialVectorField, build_riccati
 from serieslab.scenario import (
     ScenarioConfig,
     _lv_atol,
@@ -545,6 +546,40 @@ def test_blow_up_start_gives_error_rows(text, rows, tmp_path):
             assert row.source.startswith(error)
 
 
+UNDERFLOWING_SIR = """\
+[scenario]
+name = sir-underflow
+model = sir
+
+[model]
+initial_state = 5.0, 1.0, 0.0
+
+[model.params]
+beta = 1e4
+gamma = 1e-4
+
+[grid]
+t_end = 0.01
+samples = 11
+
+[analyses]
+items = endpoints
+"""
+
+
+def test_die_out_below_the_smallest_float_becomes_an_error_row(tmp_path):
+    # rho = 1e-8: the die-out point is about 5*exp(-6e8), which no float
+    # holds; the row names the error instead of reporting 0 or NaN
+    report = run_scenario(validate_config(UNDERFLOWING_SIR), tmp_path, fmt="csv")
+    rows = {row.quantity: row for row in report.rows}
+    assert "x_limit" not in rows
+    row = rows["endpoints"]
+    assert not row.passed
+    assert row.source.startswith(
+        "error: ArithmeticError: die-out point x0*exp(-6e+08) lies below the smallest float")
+    assert all(other.passed for other in report.rows if other is not row)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("y0", ["1e200", "-1e200"])
 def test_overflowing_series_becomes_error_rows(y0, tmp_path, capsys):
@@ -710,6 +745,30 @@ def test_cli_figure_takes_no_run_overrides(flag, tmp_path, capsys):
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "lv-orbit", "--order", "0"], "argument --order: must be at least 1"),
+    (["run", "riccati-zero", "--tol", "1"], "argument --tol: must lie in [1e-13, 0.001]"),
+    (["run", "riccati-zero", "--tol", "0"], "argument --tol: must lie in [1e-13, 0.001]"),
+    (["report-all", "--order", "-3"], "argument --order: must be at least 1"),
+], ids=["order-0", "tol-1", "tol-0", "report-all-order-minus-3"])
+def test_cli_out_of_range_override_is_a_usage_error(argv, message, tmp_path, capsys):
+    # rejected before any preset runs, not turned into error rows
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_override_ranges_include_their_bounds():
+    # --tol reads the range reference_integrate enforces
+    assert serieslab.cli.order("1") == 1
+    assert serieslab.cli.tolerance("1e-13") == TOL_RANGE[0]
+    assert serieslab.cli.tolerance("1e-3") == TOL_RANGE[1]
+    with pytest.raises(ValueError, match="tol must lie in"):
+        reference_integrate(build_riccati(0.0), 1.0, tol=math.nextafter(TOL_RANGE[1], 1.0))
 
 
 def test_cli_radius_query(capsys):
