@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-
-from .convergence import estimate_radius, riccati_radius
+from .convergence import RATIO_WINDOW, estimate_radius, riccati_radius
 from .csvout import write_csv
 from .exact import sir_endpoints
 from .figures import FIGURE_IDS, reproduce_figure
@@ -29,12 +29,17 @@ from .scenario import load_preset, preset_names, run_scenario, validate_config
 from .series import generate_taylor_solution
 
 
-def order(text: str) -> int:
+def order(text: str, least: int = 1) -> int:
     """``--order``: a series order, at least 1 as a config file's."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}")
     return value
+
+
+def ratio_order(text: str) -> int:
+    """``radius --order``: a series order the ratio test can read."""
+    return order(text, least=RATIO_WINDOW)
 
 
 def tolerance(text: str) -> float:
@@ -85,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     # older argparse reads a negative number in exponent form, such as
     # -1e200, as an option name; this pattern lets it through as a value
     rad_p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-    rad_p.add_argument("--order", type=int, default=30,
-                       help="series order for the ratio estimate")
+    rad_p.add_argument("--order", type=ratio_order, default=30, help=(
+        f"series order for the ratio estimate, at least {RATIO_WINDOW}"))
 
     end_p = sub.add_parser("endpoints", help="epidemic endpoint queries")
     end_p.add_argument("--beta", type=float, required=True)
@@ -108,10 +113,7 @@ def _load_config(spec: str):
 
 
 def _override_order(config, order):
-    if order is None:
-        return config
-    from dataclasses import replace
-    return replace(config, series_order=order)
+    return config if order is None else replace(config, series_order=order)
 
 
 def cmd_run(args) -> int:

@@ -22,6 +22,9 @@ from .series import TruncatedSeries
 #: infimum of the re-expansion radius along the solution started at zero
 MULTISTAGE_RADIUS_FLOOR = SQRT2 * math.pi / 4.0
 
+#: trailing coefficient pairs the ratio test reads, so the least order
+RATIO_WINDOW = 8
+
 
 class RadiusMethod(str, Enum):
     EXACT_RICCATI = "exact_riccati"
@@ -118,19 +121,18 @@ def riccati_radii(y0: float, times) -> np.ndarray:
     return SQRT2 / 4.0 * np.hypot(re - 2.0 * SQRT2 * times, im)
 
 
-def estimate_radius(s: TruncatedSeries, window: int = 8) -> RadiusReport:
+def estimate_radius(s: TruncatedSeries) -> RadiusReport:
     """Ratio-test radius estimate from the trailing coefficients.
 
     Candidate samples are the spaced ratios |c_k / c_{k+s}|**(1/s) over the
-    last ``window`` pairs, for spacings s in {1, 2, 3}; the spacing whose
+    last RATIO_WINDOW pairs, for spacings s in {1, 2, 3}; the spacing whose
     log-ratios scatter least wins and its median is returned.  A single real
     pole makes every spacing agree (and the estimate near-exact), while a
     complex-conjugate pole pair makes adjacent ratios oscillate strongly; a
     spacing close to the oscillation period damps that almost entirely.
     Expect a few percent accuracy at order 30 in the complex-pair case.
     """
-    if window < 4:
-        raise ValueError("window must be at least 4")
+    window = RATIO_WINDOW
     if s.order < window:
         raise ValueError("series order must be at least the window size")
     coeffs = s.coefficients

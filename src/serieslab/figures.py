@@ -31,7 +31,7 @@ DEEP_DECAY_ATOL = 1e-140
 #: beyond this share of its error scale (see polyline_self_intersects)
 ORIENTATION_EPS = 8 * np.finfo(float).eps
 
-#: how far in time lv_orbit_period looks for two upward crossings
+#: how far in time lv_closed_orbit looks for two upward crossings
 ORBIT_SEARCH_TIME = 200.0
 
 
@@ -96,11 +96,17 @@ def polyline_self_intersects(points) -> bool:
 
 
 def lv_orbit_period(model: ModelInstance) -> float:
-    """Orbital period of a predator-prey solution, from two successive
-    upward crossings of the center's predator level y = a/b.
+    """Orbital period of a predator-prey solution (see lv_closed_orbit)."""
+    return lv_closed_orbit(model)[0]
 
-    Every orbit around the center crosses that level upwards once per
-    period, so one solve that stops at the second crossing suffices.
+
+def lv_closed_orbit(model: ModelInstance) -> tuple[float, Trajectory]:
+    """The period of a predator-prey solution and its orbit, sampled at
+    1200 uniform times over 0.999 of one period (just short of closing).
+
+    One solve stops at the second of two upward crossings of the center's
+    predator level y = a/b, which every orbit crosses once per period; its
+    dense output gives the orbit.
     """
     if model.label != "lotka_volterra":
         raise ValueError("expected a lotka_volterra model instance")
@@ -127,20 +133,14 @@ def lv_orbit_period(model: ModelInstance) -> float:
         rtol=1e-12,
         atol=1e-12,
         events=crossing,
-        dense_output=False,
+        dense_output=True,
     )
     events = sol.t_events[0]
     if len(events) < 2:
         raise RuntimeError("could not detect an orbital period")
-    return float(events[1] - events[0])
-
-
-def lv_closed_orbit(model: ModelInstance, tol: float = 1e-10) -> tuple[float, Trajectory]:
-    """The period and the reference orbit sampled at 1200 uniform times
-    over 0.999 of one period (just short of closing on the start)."""
-    period = lv_orbit_period(model)
+    period = float(events[1] - events[0])
     grid = np.linspace(0.0, 0.999 * period, 1200)
-    return period, reference_integrate(model, grid[-1], tol, grid=grid)
+    return period, Trajectory(grid, sol.sol(grid).T, "reference")
 
 
 def _params(config, start: bool) -> str:

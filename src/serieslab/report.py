@@ -3,7 +3,6 @@ pass criterion, serialised as plain text and CSV."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,7 +81,8 @@ class ComparisonReport:
 
 def compare_row(quantity: str, computed: float, reference: float, tol: float,
                 kind: str, source: str) -> ReportRow:
-    """Numeric comparison row; ``kind`` is abs or rel."""
+    """Numeric comparison row; ``kind`` is abs or rel.  A NaN fails it, as
+    every comparison with NaN is false."""
     computed = float(computed)
     reference = float(reference)
     diff = abs(computed - reference)
@@ -93,14 +93,13 @@ def compare_row(quantity: str, computed: float, reference: float, tol: float,
     else:
         passed = diff <= tol
         criterion = f"|computed - reference| <= {tol:g}"
-    if math.isnan(computed):
-        passed = False
     return ReportRow(quantity, computed, reference, rel, passed, criterion, source)
 
 
 def threshold_row(quantity: str, computed: float, limit: float, source: str,
                   direction: str = "below") -> ReportRow:
-    """Pass when the computed value is below (or above) the stated limit."""
+    """Pass when the computed value is below (or above) the stated limit;
+    never for NaN."""
     computed = float(computed)
     if direction == "below":
         passed = computed <= limit
@@ -108,8 +107,12 @@ def threshold_row(quantity: str, computed: float, limit: float, source: str,
     else:
         passed = computed >= limit
         criterion = f"computed >= {limit:g}"
-    if math.isnan(computed):
-        passed = False
+    return check_row(quantity, computed, passed, criterion, source)
+
+
+def check_row(quantity: str, computed, passed: bool, criterion: str,
+              source: str) -> ReportRow:
+    """A check decided by its producer, with no reference value."""
     return ReportRow(quantity, computed, None, None, passed, criterion, source)
 
 
@@ -120,10 +123,14 @@ def bool_row(quantity: str, computed: bool, expected: bool, source: str) -> Repo
     )
 
 
+#: the criterion of every ``error_row``
+ERROR_CRITERION = "computation must succeed"
+
+
 def error_row(quantity: str, error: Exception) -> ReportRow:
     """A numeric failure surfaced as a failed row instead of a crash; the
     source names the exception's class and message."""
     return ReportRow(
         quantity, float("nan"), None, None, False,
-        "computation must succeed", f"error: {type(error).__name__}: {error}",
+        ERROR_CRITERION, f"error: {type(error).__name__}: {error}",
     )

@@ -2,12 +2,12 @@
 turns one config into trajectories, figures and a comparison report.
 
 A scenario names a model, a series order, a time grid, optional piecewise
-stepping, and a list of analyses.  Reference values (with tolerances and a
-source note) can be attached to any numeric quantity the scenario reports;
-without one, each quantity falls back to a self-consistency check, so every
-report row always carries an explicit pass criterion.  One table, ``_TABLE``,
-lists every producer of report rows with the models, analysis and runs it
-needs; validation and the runner both read it.
+stepping, and a list of analyses.  Every report row states its own pass
+criterion; a reference value (with tolerance and a source note) attached to
+a numeric quantity replaces that row's check with a comparison, in one
+place, the runner's ``guard``.  One table, ``_TABLE``, lists every producer
+of report rows with the models, analysis and runs it needs; validation and
+the runner both read it.
 """
 
 from __future__ import annotations
@@ -46,9 +46,11 @@ from .integrators import (
 )
 from .models import MODELS, make_model
 from .report import (
+    ERROR_CRITERION,
     ComparisonReport,
     ReportRow,
     bool_row,
+    check_row,
     compare_row,
     error_row,
     threshold_row,
@@ -290,24 +292,6 @@ def _restrict(trajectory: Trajectory, times) -> Trajectory:
                       trajectory.provenance, dict(trajectory.meta))
 
 
-def _near(reference, tol, kind, source):
-    """Default check: within ``tol`` (abs or rel) of ``reference``."""
-    return partial(compare_row, reference=reference, tol=tol, kind=kind,
-                   source=source)
-
-
-def _limit(limit, source, direction="below"):
-    """Default check: below (or above) ``limit``."""
-    return partial(threshold_row, limit=limit, source=source,
-                   direction=direction)
-
-
-def _check(passed, criterion, source):
-    """Default check decided by the producer, with no reference value."""
-    return lambda quantity, computed: ReportRow(
-        quantity, computed, None, None, passed, criterion, source)
-
-
 class _Runner:
     def __init__(self, config: ScenarioConfig, tol: float):
         self.config = config
@@ -361,25 +345,24 @@ class _Runner:
         """Add the producer's rows, or one error row if it fails
         numerically or if a run it ``needs`` (series, multistage or
         reference) failed; a programming error (TypeError, KeyError, ...)
-        is not a result and propagates."""
+        is not a result and propagates.  A row whose quantity has a
+        configured reference is compared with it in place of the row's
+        own check; an error row stays as it is."""
         failure = next((self.failures[run] for run in needs
                         if run in self.failures), None)
         if failure is None:
             try:
-                self.rows.extend(producer())
-                return
+                rows = producer()
             except NUMERICAL_FAILURES as exc:
                 failure = exc
-        self.rows.append(error_row(quantity, failure))
-
-    def row(self, quantity, computed, default):
-        """The comparison with the configured reference for ``quantity``,
-        else ``default(quantity, computed)``, the check made without one."""
-        rv = self.refs.get(quantity)
-        if rv is not None:
-            return compare_row(quantity, computed, rv.value, rv.tolerance,
-                               rv.kind, rv.source)
-        return default(quantity, computed)
+        if failure is not None:
+            rows = [error_row(quantity, failure)]
+        for row in rows:
+            rv = self.refs.get(row.quantity)
+            if rv is not None and row.criterion != ERROR_CRITERION:
+                row = compare_row(row.quantity, row.computed, rv.value,
+                                  rv.tolerance, rv.kind, rv.source)
+            self.rows.append(row)
 
     @cached_property
     def exact_radius(self):
@@ -392,19 +375,19 @@ class _Runner:
         y0 = float(self.model.initial_state[0])
         reference = float(self.reference_tr.states[-1, 0])
         tol_abs = max(1e-8, 1e3 * self.tol * max(1.0, abs(reference)))
-        return [self.row(
+        return [compare_row(
             "exact_final_state", riccati_exact(y0, self.config.t_end),
-            _near(reference, tol_abs, "abs", "reference integrator end state"))]
+            reference, tol_abs, "abs", "reference integrator end state")]
 
     def exact_radius_rows(self):
         radius = self.exact_radius
-        return [self.row("series_radius_exact", radius, _check(
-            math.isfinite(radius) and radius > 0 or radius == math.inf,
-            "radius is positive", "closed-form pole location"))]
+        return [check_row("series_radius_exact", radius, radius > 0,
+                          "radius is positive", "closed-form pole location")]
 
-    def estimate_rows(self, default=None):
-        """The trailing-ratio radius of each component; a component whose
-        tail admits no ratio test becomes its own error row."""
+    def estimate_rows(self, exact=None):
+        """The trailing-ratio radius of each component, compared with the
+        ``exact`` radius when there is one; a component whose tail admits
+        no ratio test becomes its own error row."""
         out = []
         est_sol = generate_taylor_solution(self.model, ESTIMATE_ORDER)
         for name, comp in zip(self.names, est_sol.components):
@@ -414,16 +397,19 @@ class _Runner:
             except NotEstimableError as exc:
                 out.append(error_row(quantity, exc))
                 continue
-            out.append(self.row(quantity, est, default or _check(
-                math.isfinite(est) and est > 0,
-                "estimate is finite and positive",
-                f"trailing-ratio estimate at order {ESTIMATE_ORDER}")))
+            if exact is None:
+                out.append(check_row(
+                    quantity, est, math.isfinite(est) and est > 0,
+                    "estimate is finite and positive",
+                    f"trailing-ratio estimate at order {ESTIMATE_ORDER}"))
+            else:
+                out.append(compare_row(
+                    quantity, est, exact, 0.15, "rel",
+                    "closed-form radius (ratio test should land nearby)"))
         return out
 
     def riccati_estimate_rows(self):
-        return self.estimate_rows(_near(
-            self.exact_radius, 0.15, "rel",
-            "closed-form radius (ratio test should land nearby)"))
+        return self.estimate_rows(self.exact_radius)
 
     def restart_min_rows(self):
         from scipy.optimize import minimize_scalar
@@ -435,25 +421,29 @@ class _Runner:
             lambda t: riccati_radii(y0, t),
             bounds=(0.0, span), method="bounded", options={"xatol": 1e-12})
         computed = min(float(np.min(coarse)), float(best.fun))
-        return [self.row("multistage_radius_min", computed, _near(
-            MULTISTAGE_RADIUS_FLOOR, 1e-3, "rel",
-            "analytic lower bound sqrt(2)*pi/4"))]
+        return [compare_row("multistage_radius_min", computed,
+                            MULTISTAGE_RADIUS_FLOOR, 1e-3, "rel",
+                            "analytic lower bound sqrt(2)*pi/4")]
 
     def riccati_multistage_rows(self):
         end = float(self.multistage_tr.states[-1, 0])
         exact_end = riccati_exact(float(self.model.initial_state[0]),
                                   self.config.t_end)
-        rows = [self.row("multistage_end_error", abs(end - exact_end), _limit(
-            1e-4, "piecewise series against the closed form"))]
+        rows = [threshold_row("multistage_end_error", abs(end - exact_end),
+                              1e-4, "piecewise series against the closed form")]
         if "multistage_final_state" in self.refs:
-            rows.append(self.row("multistage_final_state", end, None))
+            # reported only to be compared with its reference (see guard)
+            rows.append(check_row("multistage_final_state", end,
+                                  math.isfinite(end), "end state is finite",
+                                  "piecewise series end state"))
         return rows
 
     def multistage_vs_reference_rows(self):
         err = float(np.max(np.abs(
             self.multistage_tr.states - self.reference_nodes.states)))
-        return [self.row("multistage_vs_reference", err, _limit(
-            1e-4, "piecewise series against the reference integrator"))]
+        return [threshold_row(
+            "multistage_vs_reference", err, 1e-4,
+            "piecewise series against the reference integrator")]
 
     def population_rows(self):
         coeff = np.vstack([c.coefficients
@@ -467,10 +457,10 @@ class _Runner:
         drift_ref = float(np.max(np.abs(
             self.reference_tr.states.sum(axis=1) - total0)))
         return [
-            self.row("series_population_drift", drift_series, _limit(
-                limit, "coefficient sums vanish order by order")),
-            self.row("reference_population_drift", drift_ref, _limit(
-                1e-8, "total population along the reference trajectory")),
+            threshold_row("series_population_drift", drift_series, limit,
+                          "coefficient sums vanish order by order"),
+            threshold_row("reference_population_drift", drift_ref, 1e-8,
+                          "total population along the reference trajectory"),
         ]
 
     def endpoints_rows(self):
@@ -481,9 +471,9 @@ class _Runner:
         resid = abs(sir_y_of_x(ends.x_limit, model))
         limit = _endpoint_limit(rho, ends.x_limit)
         out = [
-            self.row("x_limit", ends.x_limit, _check(
-                resid <= limit, f"|infectives(x_limit)| <= {limit:g}",
-                "root of the die-out equation")),
+            check_row("x_limit", ends.x_limit, resid <= limit,
+                      f"|infectives(x_limit)| <= {limit:g}",
+                      "root of the die-out equation"),
             bool_row("epidemic_occurs", ends.epidemic_occurs, x0 > rho,
                      "threshold x0 > gamma/beta"),
         ]
@@ -493,16 +483,14 @@ class _Runner:
             xg = np.geomspace(ends.x_limit * 1.001, x0, 4001)
             grid_max = float(np.max(sir_curves(xg, model)[0]))
             out += [
-                self.row("x_over", ends.x_over, _check(
-                    resid_over <= limit,
-                    f"|residual of the return equation| <= {limit:g}",
-                    "nontrivial root of the return equation")),
-                self.row("x_peak", ends.x_peak, _near(
-                    rho, 0.0, "abs", "peak location gamma/beta")),
-                self.row("y_peak", ends.y_peak, _check(
-                    grid_max <= ends.y_peak + 1e-9,
-                    "no larger infective count on a dense susceptible grid",
-                    "infectives evaluated at the peak")),
+                check_row("x_over", ends.x_over, resid_over <= limit,
+                          f"|residual of the return equation| <= {limit:g}",
+                          "nontrivial root of the return equation"),
+                compare_row("x_peak", ends.x_peak, rho, 0.0, "abs",
+                            "peak location gamma/beta"),
+                check_row("y_peak", ends.y_peak, grid_max <= ends.y_peak + 1e-9,
+                          "no larger infective count on a dense susceptible grid",
+                          "infectives evaluated at the peak"),
                 bool_row("endpoint_ordering",
                          ends.x_limit < ends.x_over < ends.x_peak < x0, True,
                          "die-out, return, peak and start must be ordered"),
@@ -527,17 +515,17 @@ class _Runner:
             violation = max(violation, abs(
                 lv_conserved(float(x), float(y), *rates) - h0))
         return [
-            self.row("conserved_drift_reference", drift, _limit(
-                1e-6, "first integral along the reference trajectory")),
-            self.row("conserved_violation_series", violation, _limit(
-                1.0, "series points abandon the conserved curve", "above")),
+            threshold_row("conserved_drift_reference", drift, 1e-6,
+                          "first integral along the reference trajectory"),
+            threshold_row("conserved_violation_series", violation, 1.0,
+                          "series points abandon the conserved curve", "above"),
             bool_row("reference_stays_positive",
                      bool(np.all(self.reference_tr.states > 0)), True,
                      "true orbits stay in the open positive quadrant"),
         ]
 
     def phase_plane_rows(self):
-        _, orbit = lv_closed_orbit(self.model, self.tol)
+        _, orbit = lv_closed_orbit(self.model)
         return [
             bool_row("series_curve_self_intersects",
                      polyline_self_intersects(self.series_tr.states), True,

@@ -234,6 +234,17 @@ def test_exact_orbit_does_not_cross_itself():
     assert not polyline_self_intersects(orbit.states)
 
 
+def test_closed_orbit_matches_a_log_coordinate_solve():
+    # the orbit is read from the period solve's dense output; an
+    # independent solve in w = ln u at the tightest tolerance measured
+    # 2.7e-11 relative from it
+    _, orbit = lv_closed_orbit(lv_case_v())
+    reference = reference_integrate(lv_case_v(), orbit.times[-1], 1e-13,
+                                    grid=orbit.times)
+    assert reference.meta["coordinates"] == "log"
+    assert np.max(np.abs(orbit.states / reference.states - 1.0)) < 1e-9
+
+
 def test_reproduce_fig1(tmp_path):
     files = reproduce_figure("fig1", tmp_path, fmt="both")
     names = sorted(f.name for f in files)
@@ -309,7 +320,7 @@ def test_a_figure_follows_its_preset(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fig_id, solves", [
     ("fig1", 1),   # the reference populations
-    ("fig2", 2),   # lv_closed_orbit: the period, then the orbit
+    ("fig2", 1),   # lv_closed_orbit: the period, with the orbit read from it
     ("fig3", 0),
     ("fig4", 0),
 ])

@@ -13,6 +13,7 @@ from serieslab.convergence import riccati_radii
 from serieslab.figures import FIGURE_IDS, reproduce_figure
 from serieslab.integrators import TOL_RANGE, DivergenceError, reference_integrate
 from serieslab.models import PolynomialVectorField, build_riccati
+from serieslab.report import compare_row, threshold_row
 from serieslab.scenario import (
     ScenarioConfig,
     _lv_atol,
@@ -147,7 +148,9 @@ LV_RATES = {"a": 1, "b": 1, "c": 1, "d": 1}
 SIR_RATES = {"beta": 0.01, "gamma": 0.02}
 
 
-@pytest.mark.parametrize("case, accepted, rejected", [
+#: (model, start, rates, analyses, multistage), the quantities a
+#: [references] section may name, and some it may not
+REFERENCE_CASES = pytest.mark.parametrize("case, accepted, rejected", [
     (("riccati", "0.0", {}, "radius", True),
      {"exact_final_state", "series_radius_exact", "radius_estimate_y",
       "multistage_radius_min", "multistage_end_error", "multistage_final_state"},
@@ -167,6 +170,9 @@ SIR_RATES = {"beta": 0.01, "gamma": 0.02}
      {"reference_stays_positive", "series_curve_self_intersects",
       "exact_orbit_self_intersects", "radius_estimate_z", "x_limit"}),
 ], ids=["riccati-zero", "riccati-five", "sir-endpoints", "lv"])
+
+
+@REFERENCE_CASES
 def test_references_name_only_table_quantities(case, accepted, rejected):
     config = reference_case(*case, accepted)
     assert isinstance(config, ScenarioConfig), config
@@ -174,6 +180,17 @@ def test_references_name_only_table_quantities(case, accepted, rejected):
     errors = reference_case(*case, accepted | rejected)
     assert sorted(errors) == sorted(
         f"references.{q}: unknown quantity for this scenario" for q in rejected)
+
+
+@REFERENCE_CASES
+def test_references_replace_the_checks_of_exactly_their_rows(case, accepted,
+                                                            rejected):
+    report = _Runner(reference_case(*case, accepted), 1e-10).run()
+    carried = [row for row in report.rows if row.source == "a value"]
+    assert sorted(row.quantity for row in carried) == sorted(accepted)
+    for row in carried:
+        assert row.reference == 1.0
+        assert row.criterion == "|computed - reference| <= 0"
 
 
 def test_presets_all_load():
@@ -681,6 +698,32 @@ def test_numeric_error_surfaces_as_failed_row(tmp_path):
     assert estimate.source.startswith("error: NotEstimableError: ")
 
 
+def test_a_reference_leaves_an_error_row_as_it_is():
+    # a constant solution has no estimable radius, with or without a
+    # reference for the estimate
+    text = MINIMAL_RICCATI.replace("initial_state = 0.0",
+                                   "initial_state = 2.414213562373095")
+    text += ("\n[analyses]\nitems = radius\n\n[references]\n"
+             "radius_estimate_y = 1.0, 0.1, abs, a value\n")
+    report = _Runner(validate_config(text), 1e-10).run()
+    estimate = report.rows[-1]
+    assert estimate.quantity == "radius_estimate_y"
+    assert not estimate.passed and estimate.reference is None
+    assert estimate.criterion == "computation must succeed"
+    assert estimate.source.startswith("error: NotEstimableError: ")
+
+
+@pytest.mark.parametrize("row", [
+    compare_row("q", math.nan, 1.0, math.inf, "abs", "s"),
+    compare_row("q", math.nan, 1.0, math.inf, "rel", "s"),
+    threshold_row("q", math.nan, math.inf, "s"),
+    threshold_row("q", math.nan, -math.inf, "s", "above"),
+], ids=["abs", "rel", "below", "above"])
+def test_a_nan_fails_every_numeric_check(row):
+    # even against a bound that every number meets
+    assert not row.passed
+
+
 def test_report_rows_have_explicit_criteria(tmp_path):
     report = run_scenario(load_preset("lv-orbit"), tmp_path, fmt="csv")
     assert report.all_passed
@@ -769,6 +812,21 @@ def test_cli_override_ranges_include_their_bounds():
     assert serieslab.cli.tolerance("1e-3") == TOL_RANGE[1]
     with pytest.raises(ValueError, match="tol must lie in"):
         reference_integrate(build_riccati(0.0), 1.0, tol=math.nextafter(TOL_RANGE[1], 1.0))
+
+
+@pytest.mark.parametrize("order", ["0", "1", "7"])
+def test_cli_radius_order_below_the_ratio_window_is_a_usage_error(order, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["radius", "--y0", "0.3", "--order", order])
+    assert info.value.code == 2
+    assert "argument --order: must be at least 8" in capsys.readouterr().err
+
+
+def test_cli_radius_order_at_the_ratio_window(capsys):
+    assert main(["radius", "--y0", "0.3", "--order", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "ratio-test estimate at order 8: " in out
+    assert "window=8" in out
 
 
 def test_cli_radius_query(capsys):
