@@ -9,6 +9,7 @@ curves that never reach the endpoint region.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .csvout import write_csv
 from .exact import sir_curves, sir_endpoints
-from .integrators import Trajectory, reference_integrate, sample_series
+from .integrators import Trajectory, _dop853, reference_integrate, sample_series
 from .models import ModelInstance, make_model
 from .series import generate_taylor_solution
 from .svgplot import LinePlot
@@ -104,14 +105,13 @@ def lv_closed_orbit(model: ModelInstance) -> tuple[float, Trajectory]:
     """The period of a predator-prey solution and its orbit, sampled at
     1200 uniform times over 0.999 of one period (just short of closing).
 
-    One solve stops at the second of two upward crossings of the center's
+    One solve of reference_integrate's, in w = ln u at its default
+    tolerance, stops at the second of two upward crossings of the center's
     predator level y = a/b, which every orbit crosses once per period; its
     dense output gives the orbit.
     """
     if model.label != "lotka_volterra":
         raise ValueError("expected a lotka_volterra model instance")
-    from scipy.integrate import solve_ivp
-
     params = model.params
     level = params["a"] / params["b"]
     x0, y0 = (float(v) for v in model.initial_state)
@@ -119,28 +119,23 @@ def lv_closed_orbit(model: ModelInstance) -> tuple[float, Trajectory]:
         raise ValueError("start is the stationary center; there is no orbit")
     if x0 == 0.0 or y0 == 0.0:
         raise ValueError("start on an axis; the solution never circles the center")
+    log_level = math.log(level)
 
-    def crossing(t, u):
-        return u[1] - level
+    def crossing(t, w):
+        return w[1] - log_level
 
     crossing.direction = 1.0
     crossing.terminal = 2
-    sol = solve_ivp(
-        lambda t, u: model.field.evaluate(u),
-        (0.0, ORBIT_SEARCH_TIME),
-        model.initial_state,
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-12,
-        events=crossing,
-        dense_output=True,
-    )
-    events = sol.t_events[0]
+    sol, _ = _dop853(model, ORBIT_SEARCH_TIME, 1e-10, events=[crossing],
+                     dense_output=True)
+    events = sol.t_events[1]
     if len(events) < 2:
         raise RuntimeError("could not detect an orbital period")
     period = float(events[1] - events[0])
     grid = np.linspace(0.0, 0.999 * period, 1200)
-    return period, Trajectory(grid, sol.sol(grid).T, "reference")
+    # math.exp, as reference_integrate maps w back to u
+    states = [[math.exp(v) for v in row] for row in sol.sol(grid).T.tolist()]
+    return period, Trajectory(grid, states, "reference")
 
 
 def _params(config, start: bool) -> str:

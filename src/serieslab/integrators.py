@@ -104,7 +104,7 @@ def multistage_taylor(
 def solve_ivp(*args, **kwargs):
     """scipy's ``solve_ivp``, imported on the first reference solve so that
     the series layers load without scipy; a module global, so a caller can
-    rebind it to observe every solve ``reference_integrate`` makes."""
+    rebind it to observe every solve the package makes."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
@@ -156,7 +156,6 @@ def reference_integrate(
         raise ValueError(f"tol must lie in [{lo:g}, {hi:g}]")
     if not t_end > 0:
         raise ValueError("t_end must be positive")
-    u0 = np.asarray(model.initial_state, dtype=float)
     if grid is None:
         grid = np.linspace(0.0, t_end, 401)
     else:
@@ -165,13 +164,33 @@ def reference_integrate(
             raise ValueError("grid must be 1-D and start at 0")
         if np.any(np.diff(grid) <= 0) or grid[-1] > t_end:
             raise ValueError("grid must increase strictly and stay within t_end")
+    sol, meta = _dop853(model, t_end, tol, atol, t_eval=grid)
+    if sol.status != 0:  # 1: the blow-up event, -1: a failed step
+        last = float(sol.t[-1]) if len(sol.t) else 0.0
+        raise IntegrationError(
+            f"solution escaped the divergence limit near t={last:.6g}"
+            if sol.status == 1 else
+            f"integrator stopped at t={last:.6g}: {sol.message}", last_time=last)
+    states = sol.y.T
+    if "coordinates" in meta:
+        states = [[math.exp(v) for v in row] for row in states.tolist()]
+    return Trajectory(sol.t, states, "reference", meta=meta)
+
+
+def _dop853(model: ModelInstance, t_end: float, tol: float,
+            atol: float | None = None, *, t_eval=None, events=(),
+            dense_output: bool = False):
+    """scipy's result and the ``meta`` of the DOP853 solve over [0,
+    ``t_end``] that reference_integrate describes, with a terminal blow-up
+    event ahead of ``events``; with ``meta["coordinates"]`` the states and
+    ``events`` are in w = ln u."""
     # math.exp and math.log on plain floats, not np.exp and np.log, whose
     # last bit depends on the SIMD build
     exp = math.exp
     rates = model.field.per_capita
+    u0 = np.asarray(model.initial_state, dtype=float)
     start = u0.tolist()
-    in_logs = rates is not None and min(start) > 0.0
-    if in_logs:
+    if rates is not None and min(start) > 0.0:
         def rhs(t, w):
             try:
                 u = [exp(v) for v in w.tolist()]
@@ -206,21 +225,9 @@ def reference_integrate(
     # a rejected step or IntegrationError; numpy's warnings would only escape
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(rhs, (0.0, float(t_end)), y0, method="DOP853", rtol=rtol,
-                        atol=atol, t_eval=grid, events=blow_up)
-    if sol.status == 1:
-        last = float(sol.t[-1]) if len(sol.t) else 0.0
-        raise IntegrationError(
-            f"solution escaped the divergence limit near t={last:.6g}", last_time=last
-        )
-    if not sol.success:
-        last = float(sol.t[-1]) if len(sol.t) else 0.0
-        raise IntegrationError(
-            f"integrator stopped at t={last:.6g}: {sol.message}", last_time=last
-        )
-    states = sol.y.T
-    if in_logs:
-        states = [[exp(v) for v in row] for row in states.tolist()]
-    return Trajectory(sol.t, states, "reference", meta=meta)
+                        atol=atol, t_eval=t_eval, events=[blow_up, *events],
+                        dense_output=dense_output)
+    return sol, meta
 
 
 def sample_series(solution: SeriesSolution, grid) -> Trajectory:

@@ -95,12 +95,26 @@ class ScenarioConfig:
     references: tuple = ()
 
 
+#: the scalar options, read by one loop: section, option, type, default
+#: (None: required), and the least value allowed with the message that
+#: states it; ``[multistage]`` options are read only when that section is
+#: present.  The least positive float makes "at least" read "positive".
+_SCALARS = (
+    ("series", "order", int, 5, 1, "must be at least 1"),
+    ("multistage", "order", int, 5, 2, "must be at least 2"),
+    ("multistage", "step", float, None, math.ulp(0.0), "must be positive"),
+    ("grid", "t_end", float, None, math.ulp(0.0), "must be positive"),
+    ("grid", "samples", int, 401, 2, "must be at least 2"),
+)
+
+
 def validate_config(raw: str):
     """Parse and validate a scenario config.
 
     Returns a ScenarioConfig when everything checks out, otherwise the full
     list of violations as ``field.path: message`` strings (never raises for
-    content problems, so callers can show them all at once).
+    content problems, so callers can show them all at once).  Every number
+    the config holds must be finite.
     """
     errors: list[str] = []
     parser = configparser.ConfigParser(interpolation=None)
@@ -109,91 +123,70 @@ def validate_config(raw: str):
     except configparser.Error as exc:
         return [f"syntax: {exc}"]
 
-    def get(section, option, default=None):
-        if parser.has_option(section, option):
-            return parser.get(section, option)
-        return default
-
-    def get_number(section, option, default=None, cast=float):
-        text = get(section, option)
-        if text is None:
-            return default
+    def number(field, text, cast=float):
+        """``text`` as a finite ``cast``, or None with the violation
+        recorded under ``field``."""
         try:
-            return cast(text)
+            value = cast(text)
         except ValueError:
             what = "a number" if cast is float else "an integer"
-            errors.append(f"{section}.{option}: not {what}: {text!r}")
+            errors.append(f"{field}: not {what}: {text!r}")
             return None
+        if not math.isfinite(value):
+            errors.append(f"{field}: must be finite")
+            return None
+        return value
 
-    name = (get("scenario", "name") or "").strip()
+    name = parser.get("scenario", "name", fallback="").strip()
     if not name:
         errors.append("scenario.name: required")
-    model_name = (get("scenario", "model") or "").strip()
+    model_name = parser.get("scenario", "model", fallback="").strip()
     spec = MODELS.get(model_name)
     if spec is None:
         errors.append(f"scenario.model: unknown name {model_name!r}")
 
-    state_text = get("model", "initial_state", "")
-    initial_state: tuple = ()
-    try:
-        initial_state = tuple(float(v) for v in state_text.split(",") if v.strip())
-    except ValueError:
-        errors.append(f"model.initial_state: not a number list: {state_text!r}")
+    state_text = parser.get("model", "initial_state", fallback="")
+    initial_state = tuple(number("model.initial_state", v)
+                          for v in state_text.split(",") if v.strip())
     if spec is not None:
         dim = len(spec.components)
         if len(initial_state) != dim:
-            errors.append(
-                f"model.initial_state: expected {dim} component(s) for "
-                f"{model_name}, got {len(initial_state)}"
-            )
-        elif spec.populations and any(v < 0 for v in initial_state):
+            errors.append(f"model.initial_state: expected {dim} component(s) "
+                          f"for {model_name}, got {len(initial_state)}")
+        elif spec.populations and any(v is not None and v < 0
+                                      for v in initial_state):
             errors.append("model.initial_state: components must be non-negative")
 
-    params: dict = {}
-    if parser.has_section("model.params"):
-        for key in parser.options("model.params"):
-            value = get_number("model.params", key)
-            if value is not None:
-                params[key] = value
+    params = {key: number(f"model.params.{key}", text)
+              for key, text in (parser.items("model.params")
+                                if parser.has_section("model.params") else ())}
     if spec is not None:
         required = set(spec.params)
-        missing = required - set(params)
-        extra = set(params) - required
-        for key in sorted(missing):
+        for key in sorted(required - set(params)):
             errors.append(f"model.params.{key}: required for {model_name}")
-        for key in sorted(extra):
+        for key in sorted(set(params) - required):
             errors.append(f"model.params.{key}: unknown parameter for {model_name}")
         for key in sorted(required & set(params)):
-            if not params[key] > 0:
+            if params[key] is not None and params[key] <= 0:
                 errors.append(f"model.params.{key}: must be positive")
 
-    series_order = get_number("series", "order", 5, int)
-    if series_order is not None and series_order < 1:
-        errors.append("series.order: must be at least 1")
+    has_multistage = parser.has_section("multistage")
+    scalars = {}
+    for section, option, cast, default, least, rule in _SCALARS:
+        if section == "multistage" and not has_multistage:
+            continue
+        field = f"{section}.{option}"
+        text = parser.get(section, option, fallback=None)
+        if text is None:
+            if default is None:
+                errors.append(f"{field}: required")
+            scalars[field] = default
+            continue
+        scalars[field] = number(field, text, cast)
+        if scalars[field] is not None and scalars[field] < least:
+            errors.append(f"{field}: {rule}")
 
-    multistage = None
-    if parser.has_section("multistage"):
-        ms_order = get_number("multistage", "order", 5, int)
-        ms_step = get_number("multistage", "step")
-        if ms_step is None:
-            errors.append("multistage.step: required")
-        elif not ms_step > 0:
-            errors.append("multistage.step: must be positive")
-        if ms_order is not None and ms_order < 2:
-            errors.append("multistage.order: must be at least 2")
-        if ms_order is not None and ms_step is not None and ms_step > 0:
-            multistage = MultistageSettings(ms_order, ms_step)
-
-    t_end = get_number("grid", "t_end")
-    if t_end is None:
-        errors.append("grid.t_end: required")
-    elif not t_end > 0:
-        errors.append("grid.t_end: must be positive")
-    samples = get_number("grid", "samples", 401, int)
-    if samples is not None and samples < 2:
-        errors.append("grid.samples: must be at least 2")
-
-    analyses_text = get("analyses", "items", "") or ""
+    analyses_text = parser.get("analyses", "items", fallback="")
     analyses = tuple(a.strip() for a in analyses_text.split(",") if a.strip())
     for analysis in analyses:
         if analysis not in ANALYSES:
@@ -204,35 +197,28 @@ def validate_config(raw: str):
 
     references = []
     if parser.has_section("references"):
+        # with a rejected start the rows that run are unknown: keys go unchecked
         components = spec.components if spec else ()
-        allowed = {key.format(c=c)
-                   for entry in _enabled(model_name, analyses,
-                                         multistage is not None, initial_state)
-                   for key in entry.refs for c in components}
-        for key in parser.options("references"):
-            raw_value = parser.get("references", key)
-            parts = [p.strip() for p in raw_value.split(",", 3)]
+        allowed = None if None in initial_state else {
+            key.format(c=c)
+            for entry in _enabled(model_name, analyses, has_multistage,
+                                  initial_state)
+            for key in entry.refs for c in components}
+        for key, text in parser.items("references"):
+            parts = [p.strip() for p in text.split(",", 3)]
             if len(parts) != 4:
-                errors.append(
-                    f"references.{key}: expected 'value, tolerance, abs|rel, source'"
-                )
+                errors.append(f"references.{key}: expected "
+                              "'value, tolerance, abs|rel, source'")
                 continue
-            try:
-                value = float(parts[0])
-                tolerance = float(parts[1])
-            except ValueError:
-                errors.append(f"references.{key}: value and tolerance must be numbers")
-                continue
+            value = number(f"references.{key}", parts[0])
+            tolerance = number(f"references.{key}", parts[1])
             kind = parts[2]
             if kind not in ("abs", "rel"):
                 errors.append(f"references.{key}: kind must be abs or rel")
-                continue
-            if tolerance < 0:
+            elif tolerance is not None and tolerance < 0:
                 errors.append(f"references.{key}: tolerance must be non-negative")
-                continue
-            if key not in allowed:
+            elif allowed is not None and key not in allowed:
                 errors.append(f"references.{key}: unknown quantity for this scenario")
-                continue
             references.append(ReferenceValue(key, value, tolerance, kind, parts[3]))
 
     if errors:
@@ -242,10 +228,12 @@ def validate_config(raw: str):
         model_name=model_name,
         params=params,
         initial_state=initial_state,
-        t_end=t_end,
-        samples=samples,
-        series_order=series_order,
-        multistage=multistage,
+        t_end=scalars["grid.t_end"],
+        samples=scalars["grid.samples"],
+        series_order=scalars["series.order"],
+        multistage=(MultistageSettings(scalars["multistage.order"],
+                                       scalars["multistage.step"])
+                    if has_multistage else None),
         analyses=analyses,
         references=tuple(references),
     )

@@ -169,9 +169,17 @@ def test_self_intersection_finds_a_crossing_many_blocks_back():
     assert brute_force_self_intersects(pts)
 
 
+#: the period of lv_case_v, from 40-digit Taylor stepping in mpmath (orders
+#: 40 and 50 at steps 0.05 and 0.03 agree in all 40 digits)
+LV_CASE_V_PERIOD = 7.603020304425163
+
+
 def test_orbit_period():
     period = lv_orbit_period(lv_case_v())
     assert abs(period - 7.603020304423) < 1e-9
+    # the log-coordinate solve lands 1.97e-13 off; a solve in u at
+    # rtol = atol = 1e-12 landed 2.66e-13 off
+    assert abs(period / LV_CASE_V_PERIOD - 1.0) < 2.5e-13
 
 
 @pytest.mark.parametrize("rates, start", [
@@ -260,6 +268,9 @@ def test_reproduce_fig2(tmp_path):
     files = reproduce_figure("fig2", tmp_path, fmt="csv")
     names = sorted(f.name for f in files)
     assert names == ["fig2_orbit_exact.csv", "fig2_orbit_series.csv"]
+    # 12 significant digits of LV_CASE_V_PERIOD
+    header = (tmp_path / "fig2_orbit_exact.csv").read_text().splitlines()
+    assert "# period=7.60302030443" in header
     orbit = read_csv(tmp_path / "fig2_orbit_exact.csv")
     series = read_csv(tmp_path / "fig2_orbit_series.csv")
     assert not polyline_self_intersects(np.column_stack([orbit["x"], orbit["y"]]))

@@ -489,6 +489,18 @@ def test_path_above_the_cut_off_rounds_as_the_array_loop(order):
     assert failed == (failure[0] if failure else None)
 
 
+def test_stage_path_at_order_200_tracks_its_oracle():
+    # at order 200 and above the Horner form of _path_source nests more
+    # parentheses than CPython's parser accepts, so this order can only run
+    # the loop over taylor_coefficients
+    riccati = multistage_taylor(build_riccati(0.0), 200, 0.5, 3.0)
+    exact = [riccati_exact(0.0, t) for t in riccati.times]
+    assert np.max(np.abs(riccati.states[:, 0] - exact)) < 1e-15
+    lv = multistage_taylor(lv_case_v(), 200, 0.25, 3.0)
+    reference = reference_integrate(lv_case_v(), 3.0, 1e-13, grid=lv.times)
+    assert np.max(np.abs(lv.states / reference.states - 1.0)) < 1e-11
+
+
 def test_one_compiled_path_serves_a_family():
     slow = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [3.0, 2.0])
     fast = make_model("lotka_volterra", dict(a=2.5, b=0.3, c=1.7, d=0.9), [1.0, 4.0])

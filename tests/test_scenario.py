@@ -1,6 +1,7 @@
 import hashlib
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -757,6 +758,39 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "unknown name" in err
+
+
+#: (preset, line, the line with {v} for the bad value, the field named)
+NON_FINITE_FIELDS = [
+    ("riccati-zero", "t_end = 10.0", "t_end = {v}", "grid.t_end"),
+    ("riccati-zero", "step = 0.2", "step = {v}", "multistage.step"),
+    ("lv-orbit", "initial_state = 3.0, 2.0", "initial_state = 3.0, {v}",
+     "model.initial_state"),
+    # with [references] present, one of whose keys the start decides on
+    ("riccati-zero", "initial_state = 0.0", "initial_state = {v}",
+     "model.initial_state"),
+    ("lv-orbit", "a = 1.0", "a = {v}", "model.params.a"),
+    ("riccati-zero", "series_radius_exact = 1.274, 0.001",
+     "series_radius_exact = {v}, 0.001", "references.series_radius_exact"),
+    ("riccati-zero", "series_radius_exact = 1.274, 0.001",
+     "series_radius_exact = 1.274, {v}", "references.series_radius_exact"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("preset, line, bad, field", NON_FINITE_FIELDS,
+                         ids=["t_end", "step", "lv-start", "start-with-references",
+                              "param", "reference-value", "reference-tolerance"])
+def test_cli_rejects_a_non_finite_config_number(preset, line, bad, field, value,
+                                                tmp_path, capsys):
+    text = resources.files("serieslab").joinpath(
+        f"scenarios/{preset}.ini").read_text(encoding="utf-8")
+    assert line in text
+    path = tmp_path / "bad.ini"
+    path.write_text(text.replace(line, bad.format(v=value)))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {field}: must be finite\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_is_usage_error(capsys):

@@ -446,12 +446,14 @@ def test_every_artifact_matches_the_per_point_oracles(tmp_path, monkeypatch):
 #: dot products, so they are pinned only on the versions they were
 #: recorded on, PINNED_ON (fig2's again when its ``params`` line became
 #: ``a=1 b=1 c=1 d=1``, and fig2_orbit_exact.csv's when the orbit came to
-#: be read from the period solve).  `run <preset>` and `report-all` write
-#: the same per-preset files, so a name is its last two path components.
+#: be read from the period solve, and again when that solve moved to the
+#: log coordinates of reference_integrate).  `run <preset>` and
+#: `report-all` write the same per-preset files, so a name is its last two
+#: path components.
 ARTIFACT_SHA256 = {
     "fig1/fig1_populations.csv": "fdbf37d1f5724ddf2acf72f32528ad3149c70e998219d988c1764c8d1c13d78f",
     "fig1/fig1_populations.svg": "5b41bd0b8e8fc9649b132d9136acafc2be355885416965a28495d696e0f35d41",
-    "fig2/fig2_orbit_exact.csv": "69382bd0d3438cf6d585dfceb88b1281a244c626c508c821d7fbbd04cacaeda8",
+    "fig2/fig2_orbit_exact.csv": "994cb0e01b0a4cf15ca402be9a548d43a96a76aadc0154fcf0237e9155e24800",
     "fig2/fig2_phase_plane.svg": "5558994256fe7b76fa2593137c54c8ee91ca87a9ce89066473a35b2a2b4c54cb",
     "fig3/fig3_curves.svg": "d00788be9a6b99f99587c1d17232c95e788ee44e73300a85b94c51c0b7cce31b",
     "fig3/fig3_exact_curves.csv": "e626c2cffae4725bc1dcf1b28d63f8b4be5695845291def8a7a1bde837b9b900",
