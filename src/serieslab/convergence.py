@@ -16,11 +16,16 @@ from enum import Enum
 
 import numpy as np
 
-from .models import SQRT2
+from .models import (RICCATI_STATIONARY, RICCATI_STATIONARY_ERROR, RICCATI_UNSTABLE,
+                     SQRT2, SQRT2_ERROR)
 from .series import TruncatedSeries
 
 #: infimum of the re-expansion radius along the solution started at zero
 MULTISTAGE_RADIUS_FLOOR = SQRT2 * math.pi / 4.0
+
+#: distance from a stationary state within which _stationary_gaps takes
+#: the rounding of the float state out
+NEAR_STATIONARY = 1.0 / 16.0
 
 #: trailing coefficient pairs the ratio test reads, so the least order
 RATIO_WINDOW = 8
@@ -48,6 +53,23 @@ class RadiusReport:
             raise ValueError("radius must be positive (may be inf)")
 
 
+def _stationary_gaps(y0: float) -> tuple[float, float]:
+    """y0 - (1 + sqrt(2)) and y0 - (1 - sqrt(2)).
+
+    Within NEAR_STATIONARY of a state the difference from the float state
+    is exact (Sterbenz) and has cancelled down to where the rounding of the
+    float state shows, so that rounding is taken back out.  Farther away it
+    is at most 7 eps of the difference, and the plain sums stand.
+    """
+    above = y0 - SQRT2 - 1.0
+    below = y0 + SQRT2 - 1.0
+    if abs(above) < NEAR_STATIONARY:
+        above = (y0 - RICCATI_STATIONARY) + RICCATI_STATIONARY_ERROR
+    elif abs(below) < NEAR_STATIONARY:
+        below = (y0 - RICCATI_UNSTABLE) - SQRT2_ERROR
+    return above, below
+
+
 def _log_z(y0: float) -> tuple[float, float]:
     """Real and imaginary parts of Log z, z = (y0 - 1 - sqrt(2)) /
     (y0 + sqrt(2) - 1), for a start off both stationary states.
@@ -56,8 +78,7 @@ def _log_z(y0: float) -> tuple[float, float]:
     t_k = (Log z + 2 pi i k) / (2 sqrt(2)).  z < 0 whenever y0 lies
     between the two stationary states, and then no pole is real.
     """
-    num = y0 - SQRT2 - 1.0
-    den = y0 + SQRT2 - 1.0
+    num, den = _stationary_gaps(y0)
     ratio = num / den
     if 0.5 < ratio < 2.0:
         # num = den - 2 sqrt(2): near 1 the ratio's own rounding would

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convergence import _log_z
-from .models import SQRT2, RICCATI_STATIONARY, RICCATI_STATIONARY_ERROR, ModelInstance
+from .convergence import _log_z, _stationary_gaps
+from .models import (SQRT2, RICCATI_STATIONARY, RICCATI_STATIONARY_ERROR, RICCATI_UNSTABLE,
+                     ModelInstance)
 
 
 class BlowUpError(ArithmeticError):
@@ -55,9 +56,9 @@ def riccati_exact(y0: float, t: float) -> float:
         raise ValueError("y0 and t must be finite")
     # the ratio of distances to the two stationary states evolves as a pure
     # exponential, which puts the poles on a lattice; one of them is real
-    # when the ratio is positive
-    num0 = y0 + SQRT2 - 1.0
-    if num0 != 0.0 and y0 != RICCATI_STATIONARY:
+    # when the ratio is positive.  The float states are constant solutions
+    stationary = y0 in (RICCATI_STATIONARY, RICCATI_UNSTABLE)
+    if not stationary:
         re, im = _log_z(y0)
         if im == 0.0:
             pole = re / (2.0 * SQRT2)
@@ -66,8 +67,11 @@ def riccati_exact(y0: float, t: float) -> float:
                     f"solution from y0={y0:.6g} has a real pole at t={pole:.6g}",
                     pole_time=pole,
                 )
-    if t == 0.0 or y0 == RICCATI_STATIONARY:
+    if t == 0.0 or stationary:
         return y0
+    # the distance from 1 - sqrt(2), which keeps its digits next to it: a
+    # start a few ulps below the true state is on its way to a pole
+    num0 = _stationary_gaps(y0)[1]
     if t > 0.0:
         # divide through by exp(2*sqrt(2)*t) so large times cannot overflow
         decay = math.exp(-2.0 * SQRT2 * t)

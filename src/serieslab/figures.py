@@ -54,11 +54,13 @@ def polyline_self_intersects(points) -> bool:
     n = pts.shape[0] - 1
     if n < 3:
         return False
-    p = pts[:-1]
-    q = pts[1:]
-    d = q - p
-    lo = np.minimum(p, q)
-    hi = np.maximum(p, q)
+    # one array per coordinate, so that nothing reduces over an axis of
+    # length 2
+    x, y = pts[:, 0], pts[:, 1]
+    px, py, qx, qy = x[:-1], y[:-1], x[1:], y[1:]
+    dx, dy = qx - px, qy - py
+    lox, loy = np.minimum(px, qx), np.minimum(py, qy)
+    hix, hiy = np.maximum(px, qx), np.maximum(py, qy)
 
     # The points carry rounding of their own, up to eps/2 of the largest
     # coordinate m, so a difference of two is off by at most 2 eps m per
@@ -67,28 +69,27 @@ def polyline_self_intersects(points) -> bool:
     # inside twice that bound is taken as 0: no side.
     slack = ORIENTATION_EPS * float(np.max(np.abs(pts)))
 
-    def orientation(v, w):
-        c = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
-        size = np.abs(v).sum(axis=-1) + np.abs(w).sum(axis=-1)
+    def orientation(vx, vy, wx, wy):
+        c = vx * wy - vy * wx
+        size = (np.abs(vx) + np.abs(vy)) + (np.abs(wx) + np.abs(wy))
         return np.where(np.abs(c) > slack * size, c, 0.0)
 
     for i in range(0, n, 64):
         block = slice(i, min(i + 64, n))
         # candidate partners: strictly later, non-adjacent segments whose
         # boxes meet the block's box
-        near = np.all((lo[i + 2:] <= hi[block].max(axis=0))
-                      & (hi[i + 2:] >= lo[block].min(axis=0)), axis=1)
+        near = ((lox[i + 2:] <= hix[block].max()) & (loy[i + 2:] <= hiy[block].max())
+                & (hix[i + 2:] >= lox[block].min()) & (hiy[i + 2:] >= loy[block].min()))
         j = np.flatnonzero(near) + (i + 2)
         if j.size == 0:
             continue
-        pi = p[block, None, :]
-        di = d[block, None, :]
-        pj = p[j][None, :, :]
-        dj = d[j][None, :, :]
-        d1 = orientation(dj, pi - pj)
-        d2 = orientation(dj, q[block, None, :] - pj)
-        d3 = orientation(di, pj - pi)
-        d4 = orientation(di, q[j][None, :, :] - pi)
+        pix, piy = px[block, None], py[block, None]
+        dix, diy = dx[block, None], dy[block, None]
+        pjx, pjy, djx, djy = px[j], py[j], dx[j], dy[j]
+        d1 = orientation(djx, djy, pix - pjx, piy - pjy)
+        d2 = orientation(djx, djy, qx[block, None] - pjx, qy[block, None] - pjy)
+        d3 = orientation(dix, diy, pjx - pix, pjy - piy)
+        d4 = orientation(dix, diy, qx[j] - pix, qy[j] - piy)
         hits = (d1 * d2 < 0) & (d3 * d4 < 0)
         hits &= j[None, :] >= np.arange(i, block.stop)[:, None] + 2
         if np.any(hits):

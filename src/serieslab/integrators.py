@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .models import ModelInstance
-from .series import DIVERGENCE_LIMIT, SeriesSolution, eval_series, taylor_path
+from .series import (DIVERGENCE_LIMIT, SeriesSolution, _compile, eval_series,
+                     taylor_path)
 
 PROVENANCES = ("series", "multistage", "reference", "exact")
 
@@ -110,6 +112,164 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
+@lru_cache(maxsize=None)
+def _dop853_method():
+    """The ``method`` of every reference solve, built on the first one so
+    that the series layers load without scipy: scipy's DOP853 for states of
+    a few floats, where numpy's overhead at each stage outweighs the
+    arithmetic.  ``_step_impl`` and ``_dense_output_impl`` run ``rk_step``,
+    the error norm, the three extra stages and the interpolant rows as
+    straight-line float code (``_dop853_kernels``) under scipy's step-size
+    rule; ``__init__``, and with it the initial step, is scipy's.  The
+    option ``list_fun`` is the right-hand side on lists of floats; ``fun``
+    serves only ``__init__``.  Real states and scalar tolerances only."""
+    from scipy.integrate import DOP853
+    from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
+                                         Dop853DenseOutput)
+
+    class FloatDOP853(DOP853):
+        def __init__(self, fun, t0, y0, t_bound, *, list_fun, **options):
+            super().__init__(fun, t0, y0, t_bound, **options)
+            self._list_fun = list_fun
+            self._step, self._dense = _dop853_kernels(self.n)
+            self._tols = float(self.rtol), float(self.atol)
+            self._y, self._f = self.y.tolist(), self.f.tolist()
+
+        def _step_impl(self):
+            t, direction = self.t, float(self.direction)
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = min(max(float(self.h_abs), min_step), self.max_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    return False, self.TOO_SMALL_STEP
+                t_new = t + h_abs * direction
+                if direction * (t_new - self.t_bound) > 0:
+                    t_new = self.t_bound
+                h = t_new - t
+                h_abs = abs(h)
+                y_new, f_new, error_norm, stages = self._step(
+                    self._list_fun, t, h, self._y, self._f, *self._tols)
+                self.nfev += self.n_stages
+                if error_norm < 1:
+                    factor = MAX_FACTOR if error_norm == 0 else min(
+                        MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+                rejected = True
+            self.h_previous = h
+            self.y_old, self._y_old = self.y, self._y
+            self.t = t_new
+            self.y, self._y = np.array(y_new), y_new
+            self.f, self._f = np.array(f_new), f_new
+            self.h_abs = h_abs
+            self._stages = stages
+            return True, None
+
+        def _dense_output_impl(self):
+            rows = self._dense(self._list_fun, self.t_old, self.h_previous,
+                               self._y_old, self._y, self._stages)
+            self.nfev += len(self.C_EXTRA)
+            return Dop853DenseOutput(self.t_old, self.t, self.y_old, np.array(rows))
+
+    return FloatDOP853
+
+
+#: the tableau shapes _dop853_source expects: 12 stages, then the
+#: derivative at the new state, which weighs only in dense output, 3 extra
+#: stages for dense output, and the 4 upper rows of a degree-7 interpolant
+_DOP853_SHAPES = {"A": (12, 12), "B": (12,), "C": (12,), "E3": (13,), "E5": (13,),
+                  "D": (4, 16), "A_EXTRA": (3, 16), "C_EXTRA": (3,)}
+
+
+def _dop853_source(n: int, tableau) -> str:
+    """Straight-line source of ``kernels = step, dense`` for states of
+    ``n`` floats, from the arrays ``tableau`` maps the names of
+    _DOP853_SHAPES to.
+
+    ``step(fun, t, h, y, f, rtol, atol)`` is scipy's ``rk_step`` and
+    DOP853 error norm: it returns the new state, the derivative there, the
+    norm and the 13 stages, flat.  ``dense(fun, t, h, y, y_new, stages)``
+    runs the three extra stages and returns the 7 rows of scipy's
+    interpolant.  Each stage sum adds the nonzero tableau terms in order.
+    """
+    for name, shape in _DOP853_SHAPES.items():
+        if tableau[name].shape != shape:
+            raise ValueError(f"DOP853.{name} has shape {tableau[name].shape}, "
+                             f"expected {shape}")
+    comps = range(n)
+
+    def names(stem):
+        return "".join(f"{stem}{i}, " for i in comps)
+
+    def dot(row, i):
+        # component i of np.dot(K[:s].T, row), zero terms dropped
+        return " + ".join(f"{c!r} * k{s}_{i}" for s, c in enumerate(row.tolist()) if c)
+
+    def stage(s, c, row):
+        args = "".join(f"y{i} + ({dot(row[:s], i)}) * h, " for i in comps)
+        return f"    {names(f'k{s}_')}= fun(t + {float(c)!r} * h, [{args}])"
+
+    A, C = tableau["A"], tableau["C"]
+    every_stage = "".join(names(f"k{s}_") for s in range(13))
+    lines = ["def step(fun, t, h, y, f, rtol, atol):",
+             f"    {names('y')}= y",
+             f"    {names('k0_')}= f"]
+    lines += [stage(s, C[s], A[s]) for s in range(1, 12)]
+    lines += [f"    z{i} = y{i} + h * ({dot(tableau['B'], i)})" for i in comps]
+    lines += [f"    {names('k12_')}= fun(t + h, [{names('z')}])",
+              "    try:"]
+    for i in comps:
+        # scale = atol + np.maximum(|y|, |y_new|) * rtol, NaN passing through
+        lines += [f"        a = abs(y{i})",
+                  f"        b = abs(z{i})",
+                  "        s = atol + (a if a >= b else b) * rtol",
+                  f"        e{i} = ({dot(tableau['E5'], i)}) / s",
+                  f"        g{i} = ({dot(tableau['E3'], i)}) / s"]
+    lines += [f"        r = sqrt({' + '.join(f'e{i} * e{i}' for i in comps)})",
+              "        q5 = r * r",
+              f"        r = sqrt({' + '.join(f'g{i} * g{i}' for i in comps)})",
+              "        q3 = r * r",
+              "        if q5 == 0.0 and q3 == 0.0:",
+              "            error_norm = 0.0",
+              "        else:",
+              f"            error_norm = abs(h) * q5 / sqrt((q5 + 0.01 * q3) * {n})",
+              "    except ZeroDivisionError:",
+              "        # a zero scale: numpy's inf or NaN, which rejects the step",
+              "        error_norm = nan",
+              f"    return [{names('z')}], [{names('k12_')}], error_norm, ({every_stage})",
+              "",
+              "",
+              "def dense(fun, t, h, y, y_new, stages):",
+              f"    {names('y')}= y",
+              f"    {names('z')}= y_new",
+              f"    {every_stage}= stages"]
+    lines += [stage(s, c, row) for s, c, row in
+              zip(range(13, 16), tableau["C_EXTRA"], tableau["A_EXTRA"])]
+    lines += [f"    d{i} = z{i} - y{i}" for i in comps]
+    rows = [[f"d{i}" for i in comps],
+            [f"h * k0_{i} - d{i}" for i in comps],
+            [f"2 * d{i} - h * (k12_{i} + k0_{i})" for i in comps]]
+    rows += [[f"h * ({dot(row, i)})" for i in comps] for row in tableau["D"]]
+    lines += ["    return [" + ", ".join(f"[{', '.join(r)}]" for r in rows) + "]",
+              "",
+              "",
+              "kernels = step, dense"]
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _dop853_kernels(n: int):
+    """The compiled ``step`` and ``dense`` of _dop853_source for states of
+    ``n`` floats, from scipy's DOP853 tableau."""
+    from scipy.integrate import DOP853
+
+    source = _dop853_source(n, {name: getattr(DOP853, name) for name in _DOP853_SHAPES})
+    return _compile(source, "kernels", f"DOP853 kernel, dimension {n}", abs=abs,
+                    sqrt=math.sqrt, nan=math.nan, ZeroDivisionError=ZeroDivisionError)
+
+
 #: tolerances of the log-coordinate solve (see reference_integrate):
 #: absolute error in w = ln u is relative error in u, so the absolute
 #: tolerance, a share of ``tol``, does the work; the relative one only
@@ -183,7 +343,8 @@ def _dop853(model: ModelInstance, t_end: float, tol: float,
     """scipy's result and the ``meta`` of the DOP853 solve over [0,
     ``t_end``] that reference_integrate describes, with a terminal blow-up
     event ahead of ``events``; with ``meta["coordinates"]`` the states and
-    ``events`` are in w = ln u."""
+    ``events`` are in w = ln u.  The solve steps with _dop853_method, on
+    the right-hand side as a function of lists."""
     # math.exp and math.log on plain floats, not np.exp and np.log, whose
     # last bit depends on the SIMD build
     exp = math.exp
@@ -193,11 +354,11 @@ def _dop853(model: ModelInstance, t_end: float, tol: float,
     if rates is not None and min(start) > 0.0:
         def rhs(t, w):
             try:
-                u = [exp(v) for v in w.tolist()]
+                u = [exp(v) for v in w]
             except OverflowError:
                 # a trial stage far past the blow-up level; NaN rejects it
-                return np.full(w.shape, math.nan)
-            return rates.evaluate(u)
+                return [math.nan] * len(w)
+            return rates.evaluate(u).tolist()
 
         def blow_up(t, w):
             return LOG_DIVERGENCE_LIMIT - max(w.tolist())
@@ -208,7 +369,7 @@ def _dop853(model: ModelInstance, t_end: float, tol: float,
                 "method": "DOP853"}
     else:
         def rhs(t, u):
-            return model.field.evaluate(u)
+            return model.field.evaluate(u).tolist()
 
         def blow_up(t, u):
             return DIVERGENCE_LIMIT - np.max(np.abs(u))
@@ -224,7 +385,8 @@ def _dop853(model: ModelInstance, t_end: float, tol: float,
     # an overflowing field makes inf and NaN inside scipy's step, which end in
     # a rejected step or IntegrationError; numpy's warnings would only escape
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, float(t_end)), y0, method="DOP853", rtol=rtol,
+        sol = solve_ivp(lambda t, y: rhs(t, y.tolist()), (0.0, float(t_end)), y0,
+                        method=_dop853_method(), list_fun=rhs, rtol=rtol,
                         atol=atol, t_eval=t_eval, events=[blow_up, *events],
                         dense_output=dense_output)
     return sol, meta

@@ -26,13 +26,18 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
+#: SQRT2 minus the true sqrt(2): the float's rounding
+SQRT2_ERROR = 9.667293313452913e-17
+
 #: attracting zero of 1 + 2y - y^2; solutions approach it as t -> infinity
 RICCATI_STATIONARY = 1.0 + SQRT2
 
 #: RICCATI_STATIONARY minus the true 1 + sqrt(2): the float's rounding
 RICCATI_STATIONARY_ERROR = -1.2537167179050217e-16
 
-#: repelling zero of 1 + 2y - y^2; solutions started below it blow up
+#: repelling zero of 1 + 2y - y^2; solutions started below it blow up.
+#: 1.0 - SQRT2 is exact, so the float is off the true 1 - sqrt(2) by
+#: -SQRT2_ERROR
 RICCATI_UNSTABLE = 1.0 - SQRT2
 
 

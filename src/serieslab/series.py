@@ -223,8 +223,10 @@ def _loop_source(shape) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile(source: str, name: str, label: str):
-    namespace = {"__builtins__": {}}
+def _compile(source: str, name: str, label: str, **names):
+    """What generated ``source`` binds to ``name``; the source runs with no
+    builtins and sees only ``names``."""
+    namespace = {"__builtins__": {}, **names}
     exec(compile(source, f"<{label}>", "exec"), namespace)
     return namespace[name]
 

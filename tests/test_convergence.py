@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 import serieslab.convergence
 from serieslab.convergence import (
     MULTISTAGE_RADIUS_FLOOR,
+    NEAR_STATIONARY,
     NotEstimableError,
     RadiusMethod,
     RadiusReport,
+    _stationary_gaps,
     estimate_radius,
     riccati_radii,
     riccati_radius,
@@ -254,6 +256,43 @@ def test_radii_match_the_multiprecision_lattice(y0):
     got = riccati_radii(y0, grid)
     want = mp_lattice_radii(y0, grid)
     assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+
+
+def test_stationary_gaps_keep_the_plain_sums_away_from_the_states():
+    # the presets' starts 0 and 5, and every start farther than
+    # NEAR_STATIONARY from both states, keep the bits of the plain sums
+    for y0 in (0.0, 5.0, *np.linspace(-40.0, 40.0, 8001).tolist()):
+        above, below = _stationary_gaps(y0)
+        if abs(y0 - SQRT2 - 1.0) >= NEAR_STATIONARY:
+            assert above == y0 - SQRT2 - 1.0
+        if abs(y0 + SQRT2 - 1.0) >= NEAR_STATIONARY:
+            assert below == y0 + SQRT2 - 1.0
+
+
+@pytest.mark.parametrize("state", [RICCATI_STATIONARY, RICCATI_UNSTABLE])
+def test_stationary_gaps_next_to_a_state_match_multiprecision(state):
+    # the plain sums are off by the rounding of the float sqrt(2), 1e-16,
+    # which a start a few ulps from a state does not outweigh
+    rng = np.random.default_rng(16)
+    starts = [state + k * math.ulp(state) for k in (-1000, -7, -1, 1, 7, 1000)]
+    starts += (state + rng.uniform(-NEAR_STATIONARY, NEAR_STATIONARY, 200)).tolist()
+    column = 0 if state > 0 else 1
+    for y0 in starts:
+        with mpmath.workdps(50):
+            root2 = mpmath.sqrt(2)
+            want = float(mpmath.mpf(y0) - 1 - root2 if state > 0
+                         else mpmath.mpf(y0) - 1 + root2)
+        assert _stationary_gaps(y0)[column] == pytest.approx(
+            want, rel=np.finfo(float).eps, abs=0)
+
+
+@pytest.mark.parametrize("state", [RICCATI_STATIONARY, RICCATI_UNSTABLE])
+@pytest.mark.parametrize("ulps", [-1000, -32, 32, 1000])
+def test_radius_next_to_a_stationary_state_matches_multiprecision(state, ulps):
+    # 32 ulps clear the few ulps riccati_radius snaps to a constant solution
+    y0 = state + ulps * math.ulp(state)
+    want = mp_lattice_radii(y0, [0.0])[0]
+    assert riccati_radius(y0).radius == pytest.approx(want, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("y0", [0.0, -0.3, 0.9, 2.0, 5.0, 40.0])

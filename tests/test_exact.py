@@ -24,6 +24,8 @@ from serieslab.models import (
     RICCATI_STATIONARY,
     RICCATI_STATIONARY_ERROR,
     RICCATI_UNSTABLE,
+    SQRT2,
+    SQRT2_ERROR,
     build_riccati,
     make_model,
 )
@@ -108,6 +110,64 @@ def test_riccati_exact_blows_up_next_to_the_stationary_states():
     assert -100.0 < info.value.pole_time < 0
     assert riccati_exact(RICCATI_STATIONARY, 100.0) == RICCATI_STATIONARY
     assert riccati_exact(RICCATI_STATIONARY, -100.0) == RICCATI_STATIONARY
+
+
+def mp_real_pole(y0):
+    """The real pole time of the start y0 in 50 digits, or None for a
+    start between the two stationary states."""
+    with mpmath.workdps(50):
+        root2 = mpmath.sqrt(2)
+        y = mpmath.mpf(y0)
+        z = (y - 1 - root2) / (y + root2 - 1)
+        return float(mpmath.log(z) / (2 * root2)) if z > 0 else None
+
+
+def test_sqrt2_error_is_the_rounding_of_root_two():
+    with mpmath.workdps(50):
+        error = mpmath.mpf(SQRT2) - mpmath.sqrt(2)
+        assert SQRT2_ERROR == float(error)
+        # 1 - SQRT2 is exact, so the float unstable state is off by -SQRT2_ERROR
+        assert mpmath.mpf(RICCATI_UNSTABLE) == 1 - mpmath.mpf(SQRT2)
+
+
+def test_pole_of_a_start_one_ulp_above_the_attracting_state():
+    # the float 1 + sqrt(2) is 1.3e-16 below the true state, as far as the
+    # start is above it, so the plain difference y0 - sqrt(2) - 1 read the
+    # pole as -13.111
+    y0 = math.nextafter(RICCATI_STATIONARY, math.inf)
+    with pytest.raises(BlowUpError) as info:
+        riccati_exact(y0, -20.0)
+    assert round(info.value.pole_time, 3) == round(mp_real_pole(y0), 3) == -12.983
+    assert info.value.pole_time == pytest.approx(mp_real_pole(y0), rel=1e-14, abs=0)
+
+
+def test_start_one_ulp_above_the_float_unstable_state_blows_up():
+    # -0.4142135623730951 lies 4.1e-17 below the true 1 - sqrt(2), so its
+    # solution leaves the state and reaches a pole near t = 13.7; the plain
+    # sum y0 + sqrt(2) - 1 rounded its distance to 0 and kept it there
+    y0 = -0.4142135623730951
+    assert y0 == math.nextafter(RICCATI_UNSTABLE, 0.0)
+    with pytest.raises(BlowUpError) as info:
+        riccati_exact(y0, 30.0)
+    assert info.value.pole_time == pytest.approx(mp_real_pole(y0), rel=1e-14, abs=0)
+    for t in (5.0, 10.0, 13.0):
+        want = riccati_50_digits(y0, t)
+        assert abs(riccati_exact(y0, t) - want) <= 1e-13 * max(1, abs(want))
+
+
+@pytest.mark.parametrize("state", [RICCATI_STATIONARY, RICCATI_UNSTABLE])
+@pytest.mark.parametrize("ulps", [-1000, -30, -2, -1, 1, 2, 30, 1000])
+def test_starts_ulps_from_a_stationary_state_match_multiprecision(state, ulps):
+    y0 = state + ulps * math.ulp(state)
+    pole = mp_real_pole(y0)
+    for t in (-20.0, -3.0, 3.0, 20.0):
+        if pole is not None and (0 < pole <= t or t <= pole < 0):
+            with pytest.raises(BlowUpError) as info:
+                riccati_exact(y0, t)
+            assert info.value.pole_time == pytest.approx(pole, rel=1e-14, abs=0)
+        else:
+            want = riccati_50_digits(y0, t)
+            assert abs(riccati_exact(y0, t) - want) <= 1e-13 * max(1, abs(want))
 
 
 def riccati_50_digits(y0, t):

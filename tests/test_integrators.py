@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import serieslab.integrators
 from serieslab.exact import lv_conserved, riccati_exact, sir_endpoints
-from serieslab.figures import lv_orbit_period
+from serieslab.figures import lv_closed_orbit, lv_orbit_period
 from serieslab.integrators import (
     DIVERGENCE_LIMIT,
     DivergenceError,
@@ -24,7 +25,7 @@ from serieslab.models import (
     build_riccati,
     make_model,
 )
-from serieslab.scenario import load_preset
+from serieslab.scenario import load_preset, preset_names, run_scenario
 from serieslab.series import (
     KERNEL_MAX_ORDER,
     _path_source,
@@ -150,7 +151,10 @@ def test_reference_solves_through_the_module_global(monkeypatch):
         before = len(calls)
         reference_integrate(model, t_end, 1e-10)
         assert len(calls) == before + 1
-    assert calls == ["DOP853", "DOP853"]
+    # the float kernel behind scipy's DOP853, passed to scipy's driver
+    method = serieslab.integrators._dop853_method()
+    assert calls == [method, method]
+    assert issubclass(method, scipy.integrate.DOP853)
 
 
 def test_reference_tolerance_bounds():
@@ -332,6 +336,137 @@ def test_overflowing_field_raises_integration_error_and_no_warning(terms, in_log
         with pytest.raises(IntegrationError):
             reference_integrate(ModelInstance(field, {}, [1.0], "test"), 2e-5, 1e-10)
     assert np.geterr() == before
+
+
+# -- the float kernel behind scipy's DOP853 -------------------------------------------
+
+def solves_under(method, run, monkeypatch):
+    """Every solve_ivp result of ``run()``, stepped by the float kernel
+    (``method`` None) or by scipy's own ``"DOP853"``, each paired with a
+    second solve of the same call with dense output at every step, whose
+    interpolant's breakpoints are the accepted steps."""
+    forward = serieslab.integrators.solve_ivp
+    results = []
+
+    def spy(*args, **kwargs):
+        if method is not None:
+            kwargs["method"] = method
+            del kwargs["list_fun"]
+        sol = forward(*args, **kwargs)
+        dense = forward(*args, **{**kwargs, "dense_output": True})
+        results.append((sol, dense.sol.ts, kwargs["rtol"], kwargs["atol"]))
+        return sol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(serieslab.integrators, "solve_ivp", spy)
+        run()
+    return results
+
+
+def seeded_starts(seed):
+    """(name, model, t_end, atol) of seeded Riccati, predator-prey and
+    epidemic models: Riccati and SIR in u, predator-prey in w = ln u and,
+    from a start on an axis, in u."""
+    rng = np.random.default_rng([seed, 17])
+    sir_rates = np.exp(rng.uniform(math.log(0.005), math.log(0.5), 2)).tolist()
+    on_axis = make_model("lotka_volterra", dict(zip("abcd", rng.uniform(0.2, 2.0, 4))),
+                         [0.0, float(rng.uniform(0.5, 5.0))])
+    return [
+        ("riccati", build_riccati(float(rng.uniform(-0.4, 6.0))), 5.0, None),
+        ("lv-in-w", seeded_lv(seed), 5.0, None),
+        ("lv-in-u", on_axis, 5.0, 1e-140),
+        ("sir", make_model("sir", dict(beta=sir_rates[0], gamma=sir_rates[1]),
+                           rng.uniform(1.0, 50.0, 3).tolist()), 40.0, None),
+    ]
+
+
+def kernel_cases():
+    presets = [pytest.param(lambda tmp, name=name: run_scenario(load_preset(name), tmp,
+                                                                fmt="csv"),
+                            id=name) for name in preset_names()]
+    orbit = load_preset("lv-orbit")
+    orbit_model = make_model(orbit.model_name, orbit.params, orbit.initial_state)
+    seeded = [pytest.param(lambda tmp, m=model, t=t_end, a=atol:
+                           reference_integrate(m, t, 1e-10, atol=a), id=f"seed{seed}-{name}")
+              for seed in range(4) for name, model, t_end, atol in seeded_starts(seed)]
+    return presets + [pytest.param(lambda tmp: lv_closed_orbit(orbit_model),
+                                   id="orbit")] + seeded
+
+
+#: largest state difference between the float kernel and scipy's DOP853
+#: over kernel_cases, in units of the solver's error scale (see
+#: kernel_state_error): measured at 0.144 (riccati-zero, 1.44e-11
+#: relative), with a factor 3.5 of slack.  The two take the same steps at
+#: times about 1e-7 apart, so each carries a truncation error of its own
+KERNEL_STATE_BOUND = 0.5
+
+
+def kernel_state_error(sol, want, rtol, atol):
+    """Largest difference of two solves' states in units of the solver's
+    error scale, atol + rtol |y|: at t_eval, or on a common grid of their
+    dense output, where the steps themselves land on different times."""
+    if want.sol is None:
+        got, ref = sol.y, want.y
+    else:
+        grid = np.linspace(0.0, min(sol.t[-1], want.t[-1]), 1001)
+        got, ref = sol.sol(grid), want.sol(grid)
+    return float(np.max(np.abs(got - ref) / (atol + rtol * np.abs(ref))))
+
+
+@pytest.mark.parametrize("run", kernel_cases())
+def test_float_kernel_takes_scipys_steps(run, tmp_path, monkeypatch):
+    # the error estimate is a difference of stages that cancels to the
+    # tolerance, so its last bits, which numpy's dot products round
+    # differently, move the step sizes by about 1e-7 relative; the count
+    # of steps and of field evaluations stays scipy's
+    ours = solves_under(None, lambda: run(tmp_path / "float"), monkeypatch)
+    theirs = solves_under("DOP853", lambda: run(tmp_path / "scipy"), monkeypatch)
+    assert len(ours) == len(theirs) >= 1
+    for (sol, steps, rtol, atol), (want, want_steps, _, _) in zip(ours, theirs):
+        assert (sol.status, sol.nfev, sol.t.size) == (want.status, want.nfev, want.t.size)
+        assert len(steps) == len(want_steps)
+        assert kernel_state_error(sol, want, rtol, atol) < KERNEL_STATE_BOUND
+        for got, ref in zip(sol.t_events, want.t_events):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("y0, status", [(-2.0, 1), (1e200, -1)])
+def test_float_kernel_stops_where_scipy_stops(y0, status, monkeypatch):
+    # a blow-up event, and a failed step before the first one
+    def run():
+        with pytest.raises(IntegrationError):
+            reference_integrate(build_riccati(y0), 5.0, 1e-10)
+
+    ours = solves_under(None, run, monkeypatch)
+    theirs = solves_under("DOP853", run, monkeypatch)
+    sol, want = ours[0][0], theirs[0][0]
+    assert (sol.status, sol.nfev, sol.message) == (status, want.nfev, want.message)
+    np.testing.assert_allclose(sol.t, want.t, rtol=1e-12, atol=0)
+
+
+def test_scipys_own_driver_runs_the_same_kernel(monkeypatch):
+    # the benchmark's tracer rebinds integrators.solve_ivp to scipy's
+    # solve_ivp itself; the solves must not change
+    models = [(build_riccati(0.0), 10.0), (lv_case_v(), 20.0), (sir_slow(), 100.0)]
+    orbit = lv_orbit_period(lv_case_v())
+    plain = [reference_integrate(m, t, 1e-10).states for m, t in models]
+    monkeypatch.setattr(serieslab.integrators, "solve_ivp", scipy.integrate.solve_ivp)
+    assert lv_orbit_period(lv_case_v()) == orbit
+    for (model, t_end), states in zip(models, plain):
+        assert np.array_equal(reference_integrate(model, t_end, 1e-10).states, states)
+
+
+def test_dop853_tableau_has_the_shapes_the_kernel_expects():
+    tableau = {name: getattr(scipy.integrate.DOP853, name)
+               for name in serieslab.integrators._DOP853_SHAPES}
+    assert {name: a.shape for name, a in tableau.items()} == \
+        serieslab.integrators._DOP853_SHAPES
+    # the derivative at the new state, stage 12, weighs only in dense output
+    assert tableau["E3"][12] == tableau["E5"][12] == 0.0
+    tableau["D"] = tableau["D"][:, :15]
+    with pytest.raises(ValueError, match="DOP853.D has shape"):
+        serieslab.integrators._dop853_source(2, tableau)
 
 
 # -- series sampling -----------------------------------------------------------------

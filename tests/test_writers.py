@@ -447,13 +447,15 @@ def test_every_artifact_matches_the_per_point_oracles(tmp_path, monkeypatch):
 #: recorded on, PINNED_ON (fig2's again when its ``params`` line became
 #: ``a=1 b=1 c=1 d=1``, and fig2_orbit_exact.csv's when the orbit came to
 #: be read from the period solve, and again when that solve moved to the
-#: log coordinates of reference_integrate).  `run <preset>` and
+#: log coordinates of reference_integrate; and the 18 whose bytes moved
+#: when the reference solves came to step on Python floats, in the float
+#: kernel behind scipy's DOP853, instead of numpy's).  `run <preset>` and
 #: `report-all` write the same per-preset files, so a name is its last two
 #: path components.
 ARTIFACT_SHA256 = {
-    "fig1/fig1_populations.csv": "fdbf37d1f5724ddf2acf72f32528ad3149c70e998219d988c1764c8d1c13d78f",
+    "fig1/fig1_populations.csv": "fcbb5437a518e2c1dab77686bfee09f1ce5bd4a567c59c109871c5b9bf7386a8",
     "fig1/fig1_populations.svg": "5b41bd0b8e8fc9649b132d9136acafc2be355885416965a28495d696e0f35d41",
-    "fig2/fig2_orbit_exact.csv": "994cb0e01b0a4cf15ca402be9a548d43a96a76aadc0154fcf0237e9155e24800",
+    "fig2/fig2_orbit_exact.csv": "b02fd6387ac4e8e61e6611e61b25ddeb62411d540a79501e922b5aa6748cfa5a",
     "fig2/fig2_phase_plane.svg": "5558994256fe7b76fa2593137c54c8ee91ca87a9ce89066473a35b2a2b4c54cb",
     "fig3/fig3_curves.svg": "d00788be9a6b99f99587c1d17232c95e788ee44e73300a85b94c51c0b7cce31b",
     "fig3/fig3_exact_curves.csv": "e626c2cffae4725bc1dcf1b28d63f8b4be5695845291def8a7a1bde837b9b900",
@@ -461,31 +463,31 @@ ARTIFACT_SHA256 = {
     "fig4/fig4_curves.svg": "b7178e0786b79595c367951047c37f573927239bb44ff9b406836eb1e4a952fa",
     "fig4/fig4_exact_curves.csv": "1655fc9cbe3b5ef4420e3e4d83e2769bad03c452319c5b4b60420d75017e9ddc",
     "fig4/fig4_series_vs_exact.csv": "3525d8b164d42bb8c2ba01043fde7fb4d6f089a5807f1692f2a6a8b39b00040f",
-    "lv-crash/reference.csv": "9449fddf1e9a5b7ce7479f8e2c55d925405dbbeacab0703e7d5c0605cb7148bf",
-    "lv-crash/report.csv": "ba4cda156e552c07bf40d7dc6912dcd7014f10a616cec0a194e55c35750f1c5d",
-    "lv-crash/report.txt": "93f3d26a16344c26b72d6a27c00fbcec1063f810ae9a0587f59dc27b3c259491",
+    "lv-crash/reference.csv": "f919559efab077e49c9daa55ddf312be0fe357915b971d5756c5c223a74ff673",
+    "lv-crash/report.csv": "50a4fe237896010f6939a1a2420949b7278526492d0dc0d54195ce4bd994e53c",
+    "lv-crash/report.txt": "16fdba538179967256e54a54d809758b358ed8f4489e57533cd0caedef7fefb7",
     "lv-crash/timeseries.svg": "73bafc661256437410295dffeb2fb77aac0b3485858b7709c29326bdc41d3b35",
-    "lv-orbit/reference.csv": "677410160d6113b9711c3dbc40a46eafb7e5a1e8f508f080eba96c83b217a36c",
-    "lv-orbit/report.csv": "3ec2e308690bcc7210e784086bf3b556e49c57018504c48025ad8cbee23d4c9a",
-    "lv-orbit/report.txt": "6f2a6c4634927fe65ae1c70dc4e9b6145a0f25b2bb3bbd25da6441151d3b373b",
+    "lv-orbit/reference.csv": "269e68763835fc6565d112c1ad91582bcf71683a64096c7ce69442299b250e43",
+    "lv-orbit/report.csv": "2aaecf36ba60d678a8353304c681a5f6934258da5c2331888c3d8aa21fd58939",
+    "lv-orbit/report.txt": "20c204075f426a7d1d1f9fa0a3877b5be0dfe7c71b72b9b9e2ddff3d9195e242",
     "lv-orbit/timeseries.svg": "07be5ea038831eb23d9f781c4d418cae90291444125eb8e55871e3e6c046283d",
-    "report-all/report_all.csv": "704f52a43f7bc3d7b298983ac57406809ef1b6fe588d02925304426ab86de019",
+    "report-all/report_all.csv": "5531606980f7f4d147bfc1f8384433255b3484fc7e5847c763ea2a1de2daca30",
     "report-all/report_all.txt": "3dba82109cc68acdeca715ee471b52a08ff55834dcdcd618c5eece9d5a5665bb",
-    "riccati-five/reference.csv": "ea4931c0fd9904cf3cc9b4f6b669afbb7b7bd4836a958660b13e3ffafdfb9622",
+    "riccati-five/reference.csv": "666d188a0cd2e44f859ce7b71b48fb3a38835725914a64cdc7c1e45489c880d4",
     "riccati-five/report.csv": "88bfbd7bb71420ce3380b5aaa3a7e58871981ae18a8c6838a83da523589c2f1b",
     "riccati-five/report.txt": "79a4edbad5ef06a791b3cecf123570065133971df96e21df6cece19b25fb54a0",
-    "riccati-five/timeseries.svg": "c2088d8f56eef6cee02d520a891f92cfe6f96fc247feb266d4ba6e6fed84fa38",
-    "riccati-zero/reference.csv": "c5a53d98e53e4a64ccaf0e862f287441a490c725434eb01ca5f01c1a005404ee",
+    "riccati-five/timeseries.svg": "0f86a98e8e891e37058a96063288edf95fee206e1260c8529165d10da4658e19",
+    "riccati-zero/reference.csv": "bf8eb9faa764abc62a67ec77e63365b6ee2c51d47ed6977cf5c43e25caf44c03",
     "riccati-zero/report.csv": "cf070f13e5be26d810744df8dae66267d6f24a45064e5123e9529bab4f60fe4c",
     "riccati-zero/report.txt": "089be27709da934af6329440f5ae59f5e607f472c482f456d307b9d538912ae6",
     "riccati-zero/timeseries.svg": "86e37072519c6292b8314769dd4ec63a3e9597e605b3f17d0f393848d3e83ab4",
-    "sir-fast/reference.csv": "ac5cb3cdc273643d8ef971d1c5eb9431de48be3c3b494dc871b240704597ab09",
-    "sir-fast/report.csv": "04c42e0e7036b26600a80e8ebbfdadd1a8b2eb555527e0332b6b9fcba9e8b1b3",
-    "sir-fast/report.txt": "29b2f56de2d699a1bfdfac2b0cb891a37e5418764592a8953c9bbccf9440c464",
+    "sir-fast/reference.csv": "e9cc7a13d8456ce943a1aacb3ae32212f948fc6c6eaf257668fd7c1ea9db8d29",
+    "sir-fast/report.csv": "c7019c01a34573229141774f3053558fd8e181cdb019941399be0b9b914be2ca",
+    "sir-fast/report.txt": "8393fed2614121ec4c3f1a2b52be36f2d35af0775b47b34f349ec4c02c686262",
     "sir-fast/timeseries.svg": "e1ff1f4378a33bf133c8cd644703412d3b8ffb7a5e65c7a420d803cf740be3d0",
-    "sir-slow/reference.csv": "6faff337ffb2aa64c0a49d48eda8d1e6859dc2f13de214789fe455b07b4bd4e3",
-    "sir-slow/report.csv": "39a55dabdf59ab8b0cccd8c7b6b0250409ae2c028f8204839ed437238997b581",
-    "sir-slow/report.txt": "2f390d5a316c50381f63599441e3b9c1cb172ca56fe9ebb5a131927779f36164",
+    "sir-slow/reference.csv": "be6f8aa849d0b178ba5496becbf22bcc00289f30d966e7d7c48652a0aab320da",
+    "sir-slow/report.csv": "8bc0ec148d0d774ccae1c6fd70820fe8235beab6f554affb4e5d58564c8f4b7b",
+    "sir-slow/report.txt": "e33ceb6d2fc0fe2b99c78db781e4607366b4bb1bbdbcab1a601e59ab23539c1d",
     "sir-slow/timeseries.svg": "b2dc26b71611e03ab74a1850bf2b147b5772762cfe34a21b75f531039d1d7374",
 }
 
