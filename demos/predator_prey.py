@@ -17,8 +17,8 @@ import numpy as np
 
 from serieslab import (
     generate_taylor_solution,
+    lv_closed_orbit,
     lv_conserved,
-    lv_orbit_period,
     make_model,
     polyline_self_intersects,
     reference_integrate,
@@ -34,7 +34,7 @@ print("=" * 72)
 orbit_model = make_model("lotka_volterra", dict(a=1, b=1, c=1, d=1), [3.0, 2.0])
 # fixed points: the saddle at the origin and the center at (c/d, a/b)
 print("  saddle at (0.0, 0.0), center at (1.0, 1.0)")
-period = lv_orbit_period(orbit_model)
+period = lv_closed_orbit(orbit_model)[0]
 print(f"  orbital period: {period:.4f}")
 
 h0 = lv_conserved(3.0, 2.0, 1, 1, 1, 1)

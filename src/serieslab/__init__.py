@@ -28,7 +28,6 @@ from .exact import (
 )
 from .figures import (
     lv_closed_orbit,
-    lv_orbit_period,
     polyline_self_intersects,
     reproduce_figure,
 )

@@ -90,13 +90,11 @@ def _log_z(y0: float) -> tuple[float, float]:
 
 
 def _start_log_z(y0: float) -> tuple[float, float] | None:
-    """``_log_z(y0)`` for a finite start, or None on a stationary state."""
+    """``_log_z(y0)`` for a finite start, or None on a float stationary
+    state, whose solution is constant; a start an ulp away has its poles."""
     if not math.isfinite(y0):
         raise ValueError("y0 must be finite")
-    # a few ulps of slack so that the rounded stationary values, e.g.
-    # 1 + math.sqrt(2), still land on the constant-solution branch
-    snap = 4.0 * np.finfo(float).eps * max(1.0, abs(y0))
-    if abs(y0 - SQRT2 - 1.0) <= snap or abs(y0 + SQRT2 - 1.0) <= snap:
+    if y0 in (RICCATI_STATIONARY, RICCATI_UNSTABLE):
         return None
     return _log_z(y0)
 

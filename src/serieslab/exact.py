@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convergence import _log_z, _stationary_gaps
-from .models import (SQRT2, RICCATI_STATIONARY, RICCATI_STATIONARY_ERROR, RICCATI_UNSTABLE,
+from .convergence import _stationary_gaps, _start_log_z
+from .models import (SQRT2, RICCATI_STATIONARY, RICCATI_STATIONARY_ERROR,
                      ModelInstance)
 
 
@@ -57,9 +57,9 @@ def riccati_exact(y0: float, t: float) -> float:
     # the ratio of distances to the two stationary states evolves as a pure
     # exponential, which puts the poles on a lattice; one of them is real
     # when the ratio is positive.  The float states are constant solutions
-    stationary = y0 in (RICCATI_STATIONARY, RICCATI_UNSTABLE)
-    if not stationary:
-        re, im = _log_z(y0)
+    log_z = _start_log_z(y0)
+    if log_z is not None:
+        re, im = log_z
         if im == 0.0:
             pole = re / (2.0 * SQRT2)
             if (pole > 0.0 and t >= pole) or (pole < 0.0 and t <= pole):
@@ -67,7 +67,7 @@ def riccati_exact(y0: float, t: float) -> float:
                     f"solution from y0={y0:.6g} has a real pole at t={pole:.6g}",
                     pole_time=pole,
                 )
-    if t == 0.0 or stationary:
+    if t == 0.0 or log_z is None:
         return y0
     # the distance from 1 - sqrt(2), which keeps its digits next to it: a
     # start a few ulps below the true state is on its way to a pole

@@ -17,9 +17,8 @@ import numpy as np
 
 from .csvout import write_csv
 from .exact import sir_curves, sir_endpoints
-from .integrators import Trajectory, _dop853, reference_integrate, sample_series
-from .models import ModelInstance, make_model
-from .series import generate_taylor_solution
+from .integrators import Trajectory, _dop853
+from .models import ModelInstance
 from .svgplot import LinePlot
 
 #: effectively exact absolute floor for a solve in u, such as a
@@ -97,11 +96,6 @@ def polyline_self_intersects(points) -> bool:
     return False
 
 
-def lv_orbit_period(model: ModelInstance) -> float:
-    """Orbital period of a predator-prey solution (see lv_closed_orbit)."""
-    return lv_closed_orbit(model)[0]
-
-
 def lv_closed_orbit(model: ModelInstance) -> tuple[float, Trajectory]:
     """The period of a predator-prey solution and its orbit, sampled at
     1200 uniform times over 0.999 of one period (just short of closing).
@@ -147,11 +141,11 @@ def _params(config, start: bool) -> str:
     return f"{rates}, start ({', '.join(f'{v:g}' for v in config.initial_state)})"
 
 
-def _fig1(config, model, ser: Trajectory, out_dir: Path, fmt: str) -> list[Path]:
+def _fig1(runner, out_dir: Path, fmt: str) -> list[Path]:
     # prey-predator populations against time; the series sends the prey
     # count negative within the window while the true count stays > 0
-    grid = ser.times
-    ref = reference_integrate(model, config.t_end, grid=grid)
+    config, grid = runner.config, runner.grid
+    ser, ref = runner.series_tr, runner.reference_tr
     order = config.series_order
     files = []
     if fmt in ("csv", "both"):
@@ -178,10 +172,11 @@ def _fig1(config, model, ser: Trajectory, out_dir: Path, fmt: str) -> list[Path]
     return files
 
 
-def _fig2(config, model, ser: Trajectory, out_dir: Path, fmt: str) -> list[Path]:
+def _fig2(runner, out_dir: Path, fmt: str) -> list[Path]:
     # phase plane: the true orbit is a closed curve; the series polyline
     # crosses itself, which no autonomous planar trajectory can do
-    period, orbit = lv_closed_orbit(model)
+    config, ser = runner.config, runner.series_tr
+    period, orbit = runner.orbit
     params = _params(config, start=True)
     order = config.series_order
     files = []
@@ -211,8 +206,9 @@ def _fig2(config, model, ser: Trajectory, out_dir: Path, fmt: str) -> list[Path]
     return files
 
 
-def _epidemic_figure(stem: str, spread: str, config, model, ser: Trajectory,
-                     out_dir: Path, fmt: str) -> list[Path]:
+def _epidemic_figure(stem: str, spread: str, runner, out_dir: Path,
+                     fmt: str) -> list[Path]:
+    config, model, ser = runner.config, runner.model, runner.series_tr
     ends = sir_endpoints(model)
     x0 = float(model.initial_state[0])
     # dense exact curves down to just above the infective die-out point
@@ -273,7 +269,8 @@ FIGURE_IDS = tuple(_FIGURES)
 
 def reproduce_figure(fig_id: str, out_dir=".", fmt: str = "both") -> list[Path]:
     """Write the CSV data and SVG plot of one demonstration figure, drawn
-    from the model, grid and series order of its preset (``_FIGURES``).
+    from the runs of its preset (``_FIGURES``) that the scenario runner
+    computes at the default reference tolerance.
 
     ``fig1``: prey-predator populations against time (series goes negative).
     ``fig2``: phase plane, closed orbit against a self-crossing series curve.
@@ -283,13 +280,10 @@ def reproduce_figure(fig_id: str, out_dir=".", fmt: str = "both") -> list[Path]:
         raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")
     if fmt not in ("csv", "svg", "both"):
         raise ValueError("fmt must be csv, svg or both")
-    from .scenario import load_preset  # scenario imports this module
+    from .scenario import _Runner, load_preset  # scenario imports this module
 
     preset, build = _FIGURES[fig_id]
-    config = load_preset(preset)
-    model = make_model(config.model_name, config.params, config.initial_state)
-    grid = np.linspace(0.0, config.t_end, config.samples)
-    ser = sample_series(generate_taylor_solution(model, config.series_order), grid)
+    runner = _Runner(load_preset(preset))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return build(config, model, ser, out_dir, fmt)
+    return build(runner, out_dir, fmt)

@@ -6,8 +6,10 @@ stepping, and a list of analyses.  Every report row states its own pass
 criterion; a reference value (with tolerance and a source note) attached to
 a numeric quantity replaces that row's check with a comparison, in one
 place, the runner's ``guard``.  One table, ``_TABLE``, lists every producer
-of report rows with the models, analysis and runs it needs; validation and
-the runner both read it.
+of report rows with the models and analysis it runs on; validation and the
+runner both read it.  The runner computes each run (series, multistage
+path, reference solve, closed orbit) on its first read, for the producers,
+the written trajectories and the figures alike.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .exact import (
 )
 from .figures import DEEP_DECAY_ATOL, lv_closed_orbit, polyline_self_intersects
 from .integrators import (
-    Trajectory,
     multistage_taylor,
     reference_integrate,
     sample_series,
@@ -273,15 +274,26 @@ def _endpoint_limit(rho, x):
     return max(1e-9, 1e-11 * abs(rho - x) / max(1.0, x))
 
 
-def _restrict(trajectory: Trajectory, times) -> Trajectory:
-    """The samples of ``trajectory`` at ``times``, each one of its times."""
-    index = np.searchsorted(trajectory.times, times)
-    return Trajectory(trajectory.times[index], trajectory.states[index],
-                      trajectory.provenance, dict(trajectory.meta))
+def _run(compute):
+    """A run of the _Runner, computed on its first read and at most once.
+    A numerical failure is kept and raised again on every later read, so
+    each producer that reads a failed run ends in that failure."""
+    def read(runner):
+        if compute not in runner.runs:
+            try:
+                runner.runs[compute] = compute(runner)
+            except NUMERICAL_FAILURES as exc:
+                runner.runs[compute] = exc
+        outcome = runner.runs[compute]
+        if isinstance(outcome, NUMERICAL_FAILURES):
+            raise outcome
+        return outcome
+
+    return property(read, doc=compute.__doc__)
 
 
 class _Runner:
-    def __init__(self, config: ScenarioConfig, tol: float):
+    def __init__(self, config: ScenarioConfig, tol: float = 1e-10):
         self.config = config
         self.tol = tol
         self.model = make_model(config.model_name, config.params,
@@ -290,61 +302,47 @@ class _Runner:
         self.grid = np.linspace(0.0, config.t_end, config.samples)
         self.refs = {rv.quantity: rv for rv in config.references}
         self.rows: list[ReportRow] = []
-        # a run that fails numerically is kept here under its name; the
-        # producers that need it report the failure, the others go on
-        self.failures: dict[str, Exception] = {}
-        self.series_solution = self.attempt(
-            "series", generate_taylor_solution, self.model, config.series_order)
-        self.series_tr = (None if self.series_solution is None
-                          else sample_series(self.series_solution, self.grid))
-        self.multistage_tr = None
-        nodes = self.grid
-        if config.multistage:
-            self.multistage_tr = self.attempt(
-                "multistage", multistage_taylor, self.model,
-                config.multistage.order, config.multistage.step, config.t_end)
-            if self.multistage_tr is not None:
-                nodes = np.union1d(self.grid, self.multistage_tr.times)
-        self.reference_tr = self.reference_nodes = None
-        # one solve serves both grids: solve_ivp's steps do not depend on
-        # t_eval, so each grid reads the same dense output as a solve of
-        # its own would
-        solved = self.attempt("reference", reference_integrate, self.model,
-                              config.t_end, tol, grid=nodes,
-                              atol=_lv_atol(self.model))
-        if solved is not None:
-            self.reference_tr = _restrict(solved, self.grid)
-            if self.multistage_tr is not None:
-                self.reference_nodes = _restrict(solved,
-                                                 self.multistage_tr.times)
+        self.runs: dict = {}  # each run's result or numerical failure
 
-    # -- runs and rows ---------------------------------------------------
+    # -- runs, each read by the producers, run_scenario and the figures --
 
-    def attempt(self, run, compute, *args, **kwargs):
-        """``compute(*args, **kwargs)``, or None with a numerical failure
-        recorded under the name of the ``run``."""
-        try:
-            return compute(*args, **kwargs)
-        except NUMERICAL_FAILURES as exc:
-            self.failures[run] = exc
+    @_run
+    def series_solution(self):
+        return generate_taylor_solution(self.model, self.config.series_order)
+
+    @_run
+    def series_tr(self):
+        return sample_series(self.series_solution, self.grid)
+
+    @_run
+    def multistage_tr(self):
+        """The piecewise series path, or None without [multistage]."""
+        stages = self.config.multistage
+        if stages is None:
             return None
+        return multistage_taylor(self.model, stages.order, stages.step,
+                                 self.config.t_end)
 
-    def guard(self, quantity, producer, *needs):
+    @_run
+    def reference_tr(self):
+        return reference_integrate(self.model, self.config.t_end, self.tol,
+                                   grid=self.grid, atol=_lv_atol(self.model))
+
+    @_run
+    def orbit(self):
+        """The period and one closed orbit of a predator-prey start."""
+        return lv_closed_orbit(self.model)
+
+    def guard(self, quantity, producer):
         """Add the producer's rows, or one error row if it fails
-        numerically or if a run it ``needs`` (series, multistage or
-        reference) failed; a programming error (TypeError, KeyError, ...)
-        is not a result and propagates.  A row whose quantity has a
-        configured reference is compared with it in place of the row's
-        own check; an error row stays as it is."""
-        failure = next((self.failures[run] for run in needs
-                        if run in self.failures), None)
-        if failure is None:
-            try:
-                rows = producer()
-            except NUMERICAL_FAILURES as exc:
-                failure = exc
-        if failure is not None:
-            rows = [error_row(quantity, failure)]
+        numerically, as it does on reading a failed run; a programming
+        error (TypeError, KeyError, ...) is not a result and propagates.
+        A row whose quantity has a configured reference is compared with
+        it in place of the row's own check; an error row stays as it is."""
+        try:
+            rows = producer()
+        except NUMERICAL_FAILURES as exc:
+            rows = [error_row(quantity, exc)]
         for row in rows:
             rv = self.refs.get(row.quantity)
             if rv is not None and row.criterion != ERROR_CRITERION:
@@ -427,8 +425,13 @@ class _Runner:
         return rows
 
     def multistage_vs_reference_rows(self):
-        err = float(np.max(np.abs(
-            self.multistage_tr.states - self.reference_nodes.states)))
+        stages = self.multistage_tr
+        # DOP853's steps do not depend on t_eval: this solve takes the plot
+        # grid's steps
+        reference = reference_integrate(
+            self.model, self.config.t_end, self.tol, grid=stages.times,
+            atol=_lv_atol(self.model))
+        err = float(np.max(np.abs(stages.states - reference.states)))
         return [threshold_row(
             "multistage_vs_reference", err, 1e-4,
             "piecewise series against the reference integrator")]
@@ -486,15 +489,16 @@ class _Runner:
         return out
 
     def conserved_rows(self):
+        series, reference = self.series_tr, self.reference_tr
         p = self.model.params
         rates = (p["a"], p["b"], p["c"], p["d"])
         h0 = lv_conserved(*(float(v) for v in self.model.initial_state), *rates)
         drift = max(abs(lv_conserved(float(x), float(y), *rates) - h0)
-                    for x, y in self.reference_tr.states)
+                    for x, y in reference.states)
         # leaving the positive quadrant is an unbounded violation: the
         # conserved level set never touches the axes
         violation = 0.0
-        for t, (x, y) in zip(self.series_tr.times, self.series_tr.states):
+        for t, (x, y) in zip(series.times, series.states):
             if t > min(4.0, self.config.t_end):
                 break
             if x <= 0 or y <= 0:
@@ -508,15 +512,16 @@ class _Runner:
             threshold_row("conserved_violation_series", violation, 1.0,
                           "series points abandon the conserved curve", "above"),
             bool_row("reference_stays_positive",
-                     bool(np.all(self.reference_tr.states > 0)), True,
+                     bool(np.all(reference.states > 0)), True,
                      "true orbits stay in the open positive quadrant"),
         ]
 
     def phase_plane_rows(self):
-        _, orbit = lv_closed_orbit(self.model)
+        series = self.series_tr
+        _, orbit = self.orbit
         return [
             bool_row("series_curve_self_intersects",
-                     polyline_self_intersects(self.series_tr.states), True,
+                     polyline_self_intersects(series.states), True,
                      "series phase curves cross themselves beyond the radius"),
             bool_row("exact_orbit_self_intersects",
                      polyline_self_intersects(orbit.states), False,
@@ -530,8 +535,7 @@ class _Runner:
         for entry in _enabled(config.model_name, config.analyses,
                               config.multistage is not None,
                               config.initial_state):
-            self.guard(entry.quantity, partial(entry.produce, self),
-                       *entry.needs)
+            self.guard(entry.quantity, partial(entry.produce, self))
         meta = {
             "model": config.model_name,
             "params": " ".join(f"{k}={v:g}" for k, v in
@@ -561,7 +565,6 @@ class _Analysis:
     models: tuple[str, ...]
     quantity: str              # the row reporting a failure
     refs: tuple[str, ...] = ()  # [references] keys; {c} is each component
-    needs: tuple[str, ...] = ()  # runs read: series, multistage, reference
     start: Callable | None = None  # further condition on the initial state
 
 
@@ -574,7 +577,7 @@ def _starts_at_zero(state) -> bool:
 #: every producer, in report-row order
 _TABLE = (
     _Analysis(_Runner.exact_final_rows, _ANY_ROWS, ("riccati",),
-              "exact_final_state", ("exact_final_state",), ("reference",)),
+              "exact_final_state", ("exact_final_state",)),
     _Analysis(_Runner.exact_radius_rows, "radius", ("riccati",),
               "series_radius_exact", ("series_radius_exact",)),
     _Analysis(_Runner.riccati_estimate_rows, "radius", ("riccati",),
@@ -586,23 +589,20 @@ _TABLE = (
               start=_starts_at_zero),
     _Analysis(_Runner.riccati_multistage_rows, _MULTISTAGE, ("riccati",),
               "multistage_end_error",
-              ("multistage_end_error", "multistage_final_state"),
-              ("multistage",)),
+              ("multistage_end_error", "multistage_final_state")),
     _Analysis(_Runner.multistage_vs_reference_rows, _MULTISTAGE,
               ("lotka_volterra", "sir"), "multistage_vs_reference",
-              ("multistage_vs_reference",), ("multistage", "reference")),
+              ("multistage_vs_reference",)),
     _Analysis(_Runner.population_rows, _ANY_ROWS, ("sir",),
               "population_conservation",
-              ("series_population_drift", "reference_population_drift"),
-              ("series", "reference")),
+              ("series_population_drift", "reference_population_drift")),
     _Analysis(_Runner.endpoints_rows, "endpoints", ("sir",), "endpoints",
               ("x_limit", "x_over", "x_peak", "y_peak")),
     _Analysis(_Runner.conserved_rows, "conserved", ("lotka_volterra",),
               "conserved",
-              ("conserved_drift_reference", "conserved_violation_series"),
-              ("series", "reference")),
+              ("conserved_drift_reference", "conserved_violation_series")),
     _Analysis(_Runner.phase_plane_rows, "phase_plane", ("lotka_volterra",),
-              "phase_plane", needs=("series",)),
+              "phase_plane"),
 )
 
 #: each [analyses] item and the models it applies to
@@ -640,23 +640,29 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "both",
     directory = Path(out_dir) / config.name
     directory.mkdir(parents=True, exist_ok=True)
 
+    def succeeded(run):
+        # a failed run is left out: the rows that read it say why it failed
+        try:
+            return getattr(runner, run)
+        except NUMERICAL_FAILURES:
+            return None
+
+    series, reference = succeeded("series_tr"), succeeded("reference_tr")
+
     def traj_meta(tr):
-        meta = {"scenario": config.name, "model": config.model_name,
-                "provenance": tr.provenance}
-        meta.update({k: v for k, v in tr.meta.items()})
-        return meta
+        return {"scenario": config.name, "model": config.model_name,
+                "provenance": tr.provenance, **tr.meta}
 
     columns = ["t", *runner.names]
     if fmt in ("csv", "both"):
-        for tr, stem in ((runner.series_tr, "series"),
-                         (runner.reference_tr, "reference"),
-                         (runner.multistage_tr, "multistage")):
+        for tr, stem in ((series, "series"), (reference, "reference"),
+                         (succeeded("multistage_tr"), "multistage")):
             if tr is not None:
                 write_csv(directory / f"{stem}.csv", columns,
                           np.column_stack([tr.times, tr.states]), traj_meta(tr))
-        if runner.series_solution is not None:
-            coeffs = np.vstack([c.coefficients
-                                for c in runner.series_solution.components])
+        solution = succeeded("series_solution")
+        if solution is not None:
+            coeffs = np.vstack([c.coefficients for c in solution.components])
             write_csv(
                 directory / "series_coefficients.csv",
                 ["k", *runner.names],
@@ -666,9 +672,8 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "both",
             )
     if fmt in ("svg", "both"):
         plot = LinePlot(f"Scenario {config.name}", "t", "state")
-        reference = runner.reference_tr
         for tr, stem, dash in ((reference, "reference", None),
-                               (runner.series_tr, "series", "6,3")):
+                               (series, "series", "6,3")):
             if tr is not None:
                 for i, name in enumerate(runner.names):
                     plot.add_curve(tr.times, tr.states[:, i],

@@ -287,9 +287,8 @@ def test_stationary_gaps_next_to_a_state_match_multiprecision(state):
 
 
 @pytest.mark.parametrize("state", [RICCATI_STATIONARY, RICCATI_UNSTABLE])
-@pytest.mark.parametrize("ulps", [-1000, -32, 32, 1000])
+@pytest.mark.parametrize("ulps", [-1000, -32, -2, -1, 1, 2, 32, 1000])
 def test_radius_next_to_a_stationary_state_matches_multiprecision(state, ulps):
-    # 32 ulps clear the few ulps riccati_radius snaps to a constant solution
     y0 = state + ulps * math.ulp(state)
     want = mp_lattice_radii(y0, [0.0])[0]
     assert riccati_radius(y0).radius == pytest.approx(want, rel=1e-14, abs=0)

@@ -96,18 +96,17 @@ def test_riccati_exact_pole_time_matches_multiprecision(y0, t):
 
 
 def test_riccati_exact_blows_up_next_to_the_stationary_states():
-    # riccati_radius snaps these starts to the constant solution, but the
-    # closed form treats only an exactly stationary start as constant: just
-    # outside the two states a real pole lies far out in time
+    # only an exactly stationary start is constant: just outside the two
+    # states a real pole lies far out in time, and it is the nearest pole,
+    # so its distance is the series radius
     below = RICCATI_UNSTABLE - 5e-16
     above = math.nextafter(RICCATI_STATIONARY, math.inf)
-    assert riccati_radius(below).radius == riccati_radius(above).radius == math.inf
-    with pytest.raises(BlowUpError) as info:
-        riccati_exact(below, 100.0)
-    assert 0 < info.value.pole_time < 100.0
-    with pytest.raises(BlowUpError) as info:
-        riccati_exact(above, -100.0)
-    assert -100.0 < info.value.pole_time < 0
+    for y0, t in ((below, 100.0), (above, -100.0)):
+        with pytest.raises(BlowUpError) as info:
+            riccati_exact(y0, t)
+        assert 0 < info.value.pole_time / t < 1
+        assert riccati_radius(y0).radius == pytest.approx(
+            abs(info.value.pole_time), rel=2 * np.finfo(float).eps, abs=0)
     assert riccati_exact(RICCATI_STATIONARY, 100.0) == RICCATI_STATIONARY
     assert riccati_exact(RICCATI_STATIONARY, -100.0) == RICCATI_STATIONARY
 

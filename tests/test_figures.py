@@ -16,13 +16,12 @@ from serieslab.figures import (
     FIGURE_IDS,
     ORIENTATION_EPS,
     lv_closed_orbit,
-    lv_orbit_period,
     polyline_self_intersects,
     reproduce_figure,
 )
 from serieslab.integrators import reference_integrate, sample_series
 from serieslab.models import make_model
-from serieslab.scenario import load_preset, run_scenario
+from serieslab.scenario import _Runner, load_preset, run_scenario
 from serieslab.series import generate_taylor_solution
 
 
@@ -175,7 +174,7 @@ LV_CASE_V_PERIOD = 7.603020304425163
 
 
 def test_orbit_period():
-    period = lv_orbit_period(lv_case_v())
+    period = lv_closed_orbit(lv_case_v())[0]
     assert abs(period - 7.603020304423) < 1e-9
     # the log-coordinate solve lands 1.97e-13 off; a solve in u at
     # rtol = atol = 1e-12 landed 2.66e-13 off
@@ -190,7 +189,7 @@ def test_orbit_period():
 def test_orbit_period_returns_to_the_start(rates, start):
     a, b, c, d = rates
     model = make_model("lotka_volterra", dict(a=a, b=b, c=c, d=d), list(start))
-    period = lv_orbit_period(model)
+    period = lv_closed_orbit(model)[0]
     end = reference_integrate(model, period, 1e-12, atol=1e-14).states[-1]
     assert np.max(np.abs(end - np.array(start))) < 1e-9
 
@@ -203,13 +202,13 @@ def test_orbit_period_near_the_center_tends_to_linear_period(eps):
     model = make_model("lotka_volterra", dict(a=a, b=b, c=c, d=d),
                        [c / d * (1 + eps), a / b])
     linear = 2 * math.pi / math.sqrt(a * c)
-    assert abs(lv_orbit_period(model) - linear) / linear < eps**2
+    assert abs(lv_closed_orbit(model)[0] - linear) / linear < eps**2
 
 
 def test_orbit_period_rejects_the_center():
     model = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [1.0, 1.0])
     with pytest.raises(ValueError, match="stationary center"):
-        lv_orbit_period(model)
+        lv_closed_orbit(model)
 
 
 @pytest.mark.parametrize("start", [(3.0, 0.0), (0.0, 2.0), (0.0, 0.0)])
@@ -220,12 +219,12 @@ def test_orbit_period_rejects_an_axis_start_before_solving(monkeypatch, start):
     monkeypatch.setattr(scipy.integrate, "solve_ivp", no_solve)
     model = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), list(start))
     with pytest.raises(ValueError, match="on an axis"):
-        lv_orbit_period(model)
+        lv_closed_orbit(model)
 
 
 def test_orbit_period_requires_lv():
     with pytest.raises(ValueError):
-        lv_orbit_period(make_model("sir", dict(beta=1.0, gamma=1.0), [20, 4, 10]))
+        lv_closed_orbit(make_model("sir", dict(beta=1.0, gamma=1.0), [20, 4, 10]))
 
 
 def test_series_phase_curve_crosses_itself():
@@ -315,6 +314,18 @@ def test_figures_are_views_of_their_presets(tmp_path):
         series = data_cells(tmp_path / name / "series.csv")
         assert [[row[0], row[3], row[4]] for row in rows] == [
             row[1:] for row in series]
+
+
+def test_fig2_draws_the_orbit_of_its_presets_runner(tmp_path):
+    # one orbit, computed by the preset's runner, serves fig2 and the
+    # lv-orbit phase_plane rows
+    reproduce_figure("fig2", tmp_path, fmt="csv")
+    period, orbit = _Runner(load_preset("lv-orbit")).orbit
+    path = tmp_path / "fig2_orbit_exact.csv"
+    assert f"# period={period:.12g}" in path.read_text().splitlines()
+    assert data_cells(path) == [
+        [repr(v) for v in row]
+        for row in np.column_stack([orbit.times, orbit.states]).tolist()]
 
 
 def test_a_figure_follows_its_preset(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import scipy.integrate
 
 import serieslab.integrators
 from serieslab.exact import lv_conserved, riccati_exact, sir_endpoints
-from serieslab.figures import lv_closed_orbit, lv_orbit_period
+from serieslab.figures import lv_closed_orbit
 from serieslab.integrators import (
     DIVERGENCE_LIMIT,
     DivergenceError,
@@ -228,7 +228,7 @@ def lv_accuracy_cases():
     orbit = load_preset("lv-orbit")
     crash_model, orbit_model = (make_model(c.model_name, c.params, c.initial_state)
                                 for c in (crash, orbit))
-    period = lv_orbit_period(orbit_model)
+    period = lv_closed_orbit(orbit_model)[0]
     cases = [
         pytest.param(crash_model, np.linspace(0.0, crash.t_end, crash.samples),
                      id="lv-crash"),
@@ -449,10 +449,10 @@ def test_scipys_own_driver_runs_the_same_kernel(monkeypatch):
     # the benchmark's tracer rebinds integrators.solve_ivp to scipy's
     # solve_ivp itself; the solves must not change
     models = [(build_riccati(0.0), 10.0), (lv_case_v(), 20.0), (sir_slow(), 100.0)]
-    orbit = lv_orbit_period(lv_case_v())
+    orbit = lv_closed_orbit(lv_case_v())[0]
     plain = [reference_integrate(m, t, 1e-10).states for m, t in models]
     monkeypatch.setattr(serieslab.integrators, "solve_ivp", scipy.integrate.solve_ivp)
-    assert lv_orbit_period(lv_case_v()) == orbit
+    assert lv_closed_orbit(lv_case_v())[0] == orbit
     for (model, t_end), states in zip(models, plain):
         assert np.array_equal(reference_integrate(model, t_end, 1e-10).states, states)
 

@@ -12,10 +12,13 @@ import serieslab.scenario
 from serieslab.cli import main
 from serieslab.convergence import riccati_radii
 from serieslab.figures import FIGURE_IDS, reproduce_figure
-from serieslab.integrators import TOL_RANGE, DivergenceError, reference_integrate
+from serieslab.integrators import (TOL_RANGE, DivergenceError, IntegrationError,
+                                   reference_integrate)
 from serieslab.models import PolynomialVectorField, build_riccati
 from serieslab.report import compare_row, threshold_row
+from serieslab.series import generate_taylor_solution
 from serieslab.scenario import (
+    ESTIMATE_ORDER,
     ScenarioConfig,
     _lv_atol,
     _Runner,
@@ -374,7 +377,7 @@ def test_restart_min_row_matches_the_scalar_grid_and_minimiser(t_end, tmp_path):
 
 
 @pytest.mark.parametrize("text", [MULTISTAGE_LV, MULTISTAGE_SIR], ids=["lv", "sir"])
-def test_one_reference_solve_serves_grid_and_multistage_nodes(text, tmp_path, monkeypatch):
+def test_multistage_rows_solve_on_the_stage_times(text, tmp_path, monkeypatch):
     config = validate_config(text)
     calls = []
 
@@ -384,22 +387,23 @@ def test_one_reference_solve_serves_grid_and_multistage_nodes(text, tmp_path, mo
 
     monkeypatch.setattr(serieslab.scenario, "reference_integrate", counted)
     report = run_scenario(config, tmp_path, fmt="csv")
-    assert len(calls) == 1
     monkeypatch.undo()
     runner = _Runner(config, 1e-10)
-    # the two solves the runner used to make, one per grid
+    stages = runner.multistage_tr.times
+    # one solve on the plot grid, one on the stage times
+    assert len(calls) == 2
+    for grid in (runner.grid, stages):
+        assert any(np.array_equal(grid, called) for called in calls)
     atol = _lv_atol(runner.model)
     on_grid = reference_integrate(runner.model, config.t_end, 1e-10,
                                   grid=runner.grid, atol=atol)
     on_nodes = reference_integrate(runner.model, config.t_end, 1e-10,
-                                   grid=runner.multistage_tr.times, atol=atol)
-    assert np.array_equal(runner.reference_tr.times, on_grid.times)
+                                   grid=stages, atol=atol)
     assert np.array_equal(runner.reference_tr.states, on_grid.states)
     assert runner.reference_tr.meta == on_grid.meta
-    assert np.array_equal(runner.reference_nodes.states, on_nodes.states)
-    old = float(np.max(np.abs(runner.multistage_tr.states - on_nodes.states)))
+    want = float(np.max(np.abs(runner.multistage_tr.states - on_nodes.states)))
     row, = [r for r in report.rows if r.quantity == "multistage_vs_reference"]
-    assert row.computed == old
+    assert row.computed == want
     assert row.passed
 
 
@@ -614,8 +618,11 @@ def test_overflowing_series_becomes_error_rows(y0, tmp_path, capsys):
     assert {p.name for p in directory.iterdir()} == {
         "timeseries.svg", "report.txt", "report.csv"}
     runner = _Runner(validate_config(text), 1e-10)
-    assert sorted(runner.failures) == ["reference", "series"]
-    assert str(runner.failures["series"]) == "coefficients must be finite"
+    for run in ("series_solution", "series_tr"):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            getattr(runner, run)
+    with pytest.raises(IntegrationError):
+        runner.reference_tr
     report = runner.run()
     assert [(row.quantity, row.passed) for row in report.rows] == [
         ("exact_final_state", False),
@@ -626,6 +633,30 @@ def test_overflowing_series_becomes_error_rows(y0, tmp_path, capsys):
     assert final.source.startswith("error: IntegrationError: ")
     assert exact.computed == pytest.approx(1e-200, rel=1e-15, abs=0)
     assert estimate.source == "error: ValueError: coefficients must be finite"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_run_is_computed_once(tmp_path, monkeypatch):
+    # the series run fails for the csv writers too, and the reference
+    # solve for exact_final_state and both writers; neither is retried
+    text = BLOW_UP_RICCATI.replace("initial_state = -1.0", "initial_state = 1e200")
+    orders, grids = [], []
+
+    def series(model, order):
+        orders.append(order)
+        return generate_taylor_solution(model, order)
+
+    def reference(*args, **kwargs):
+        grids.append(kwargs["grid"])
+        return reference_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(serieslab.scenario, "generate_taylor_solution", series)
+    monkeypatch.setattr(serieslab.scenario, "reference_integrate", reference)
+    report = run_scenario(validate_config(text), tmp_path, fmt="both")
+    # the radius estimate reads a series of its own order
+    assert sorted(orders) == [5, ESTIMATE_ORDER]
+    assert len(grids) == 1
+    assert not report.rows[0].passed
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
