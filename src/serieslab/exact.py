@@ -100,15 +100,18 @@ def lv_conserved(x: float, y: float, a: float, b: float, c: float, d: float) -> 
 
 
 def _sir_data(model: ModelInstance):
-    if model.label != "sir" or set(model.params) != {"beta", "gamma"}:
+    # a ModelInstance labelled sir holds exactly the rates beta and gamma
+    if model.label != "sir":
         raise ValueError("expected an sir model instance")
     x0, y0, z0 = (float(v) for v in model.initial_state)
     return model.params["beta"], model.params["gamma"], x0, y0, z0
 
 
 def _sir_yz(x: float, x0: float, y0: float, z0: float, rho: float):
-    """Infectives and removed at susceptible count x: the model's one
-    statement of the exact relations, with rho = gamma/beta."""
+    """Infectives and removed at susceptible count x > 0, with rho =
+    gamma/beta: the model's one statement of the exact relations."""
+    if x <= 0:
+        raise ValueError("x must be positive")
     removed = rho * math.log(x / x0)
     return y0 + x0 - x + removed, z0 - removed
 
@@ -117,8 +120,6 @@ def sir_y_of_x(x: float, model: ModelInstance) -> float:
     """Infectives as a function of susceptibles:
     y = y0 + x0 - x + (gamma/beta) * ln(x/x0)."""
     beta, gamma, x0, y0, z0 = _sir_data(model)
-    if x <= 0:
-        raise ValueError("x must be positive")
     return _sir_yz(x, x0, y0, z0, gamma / beta)[0]
 
 
@@ -126,8 +127,6 @@ def sir_z_of_x(x: float, model: ModelInstance) -> float:
     """Removed as a function of susceptibles:
     z = z0 - (gamma/beta) * ln(x/x0)."""
     beta, gamma, x0, y0, z0 = _sir_data(model)
-    if x <= 0:
-        raise ValueError("x must be positive")
     return _sir_yz(x, x0, y0, z0, gamma / beta)[1]
 
 
@@ -140,8 +139,6 @@ def sir_curves(x, model: ModelInstance) -> tuple[np.ndarray, np.ndarray]:
     """
     beta, gamma, x0, y0, z0 = _sir_data(model)
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
     rho = gamma / beta
     values = np.array([_sir_yz(v, x0, y0, z0, rho) for v in x.ravel().tolist()],
                       dtype=float).reshape(-1, 2)

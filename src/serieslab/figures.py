@@ -17,15 +17,10 @@ import numpy as np
 
 from .csvout import write_csv
 from .exact import sir_curves, sir_endpoints
-from .integrators import Trajectory, _dop853
+# re-exports DEEP_DECAY_ATOL, which callers read as figures.DEEP_DECAY_ATOL
+from .integrators import DEEP_DECAY_ATOL, Trajectory, _dop853
 from .models import ModelInstance
 from .svgplot import LinePlot
-
-#: effectively exact absolute floor for a solve in u, such as a
-#: predator-prey start on an axis: populations can decay through dozens of
-#: orders of magnitude, which only relative error control can track
-#: (positive starts are solved in log coordinates, where that holds anyway)
-DEEP_DECAY_ATOL = 1e-140
 
 #: an orientation (a cross product of point differences) has a side only
 #: beyond this share of its error scale (see polyline_self_intersects)

@@ -277,6 +277,11 @@ def _dop853_kernels(n: int):
 LOG_RTOL = 1e-13
 LOG_ATOL_SHARE = 1e-2
 
+#: the default absolute floor of a solve in u of a Kolmogorov-form field (a
+#: predator-prey start on an axis), whose populations can decay through
+#: dozens of orders of magnitude
+DEEP_DECAY_ATOL = 1e-140
+
 #: DIVERGENCE_LIMIT in log coordinates
 LOG_DIVERGENCE_LIMIT = math.log(DIVERGENCE_LIMIT)
 
@@ -301,11 +306,10 @@ def reference_integrate(
     apply to w: relative ``LOG_RTOL`` and absolute ``tol * LOG_ATOL_SHARE``;
     ``atol`` is not used.
 
-    Every other field or start is integrated in u.  ``tol`` is the relative
-    tolerance; the absolute floor defaults to three orders below it, scaled
-    by the initial state.  Pass an explicit tiny ``atol`` when a component
-    decays through many orders of magnitude and must stay relatively
-    accurate all the way down.
+    Every other field or start is integrated in u, with relative tolerance
+    ``tol``.  The absolute floor ``atol`` defaults to ``DEEP_DECAY_ATOL`` for
+    a field in Kolmogorov form, whose components can decay through many
+    orders of magnitude, and else to ``tol * 1e-3`` scaled by the start.
 
     ``meta`` records the coordinates and the tolerances passed to the
     solver.  The trajectory is sampled on ``grid`` (defaults to 401
@@ -376,7 +380,8 @@ def _dop853(model: ModelInstance, t_end: float, tol: float,
 
         y0 = u0
         if atol is None:
-            atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(u0))))
+            atol = DEEP_DECAY_ATOL if rates is not None else (
+                tol * 1e-3 * max(1.0, float(np.max(np.abs(u0)))))
         rtol = tol
         meta = {"tol": tol, "atol": atol, "method": "DOP853"}
 

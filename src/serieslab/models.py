@@ -205,14 +205,13 @@ class ModelInstance:
         object.__setattr__(self, "params", dict(self.params))
         if state.shape != (self.field.dimension,):
             raise ValueError("initial state length must equal the field dimension")
-        if not np.all(np.isfinite(state)):
+        values = state.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("initial state must be finite")
-        for name, value in self.params.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"parameter {name} must be strictly positive")
         spec = MODELS.get(self.label)
-        if spec is not None and spec.populations and np.any(state < 0):
-            raise ValueError(f"{self.label} initial state must be non-negative")
+        problems = spec.problems(self.params, values) if spec else []
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def build_riccati(y0: float) -> ModelInstance:
@@ -280,6 +279,27 @@ class ModelSpec:
     builder: Callable[..., PolynomialVectorField]
     populations: bool             # components are counts: starts are non-negative
 
+    def problems(self, params, state) -> list[str]:
+        """Every way ``params`` (names to rates) and the start ``state``
+        break this family's rules, as ``field: message`` strings; none when
+        they make a valid instance.  Each rate must be finite and positive.
+        A value of None (one that did not parse) is not judged."""
+        out = []
+        dim = len(self.components)
+        if len(state) != dim:
+            out.append(f"initial_state: expected {dim} component(s) "
+                       f"for {self.name}, got {len(state)}")
+        elif self.populations and any(v is not None and v < 0 for v in state):
+            out.append("initial_state: components must be non-negative")
+        if params.keys() != set(self.params):
+            out += [f"params.{k}: required for {self.name}"
+                    for k in sorted(set(self.params) - params.keys())]
+            out += [f"params.{k}: unknown parameter for {self.name}"
+                    for k in sorted(params.keys() - set(self.params))]
+        # NaN fails both comparisons
+        return out + [f"params.{k}: must be positive" for k in sorted(self.params)
+                      if params.get(k) is not None and not 0.0 < params[k] < math.inf]
+
 
 MODELS = {spec.name: spec for spec in (
     ModelSpec("riccati", (), ("y",), _riccati_field, False),
@@ -293,13 +313,15 @@ def make_model(name: str, params: dict[str, float], initial_state) -> ModelInsta
     """Build a named ModelInstance from a parameter map and initial state.
 
     This is the constructor used by scenario configs; ``name`` must be a
-    key of ``MODELS`` and ``params`` must hold exactly its parameters.
+    key of ``MODELS``, and ``params`` and ``initial_state`` must pass its
+    ``ModelSpec.problems``.
     """
     spec = MODELS.get(name)
     if spec is None:
         raise ValueError(f"unknown model name: {name!r}")
-    if set(params) != set(spec.params):
-        raise ValueError(f"{name} needs exactly parameters "
-                         f"{', '.join(spec.params) or '(none)'}")
+    state = np.asarray(initial_state, dtype=float)
+    problems = spec.problems(params, state.ravel().tolist())
+    if problems:
+        raise ValueError("; ".join(problems))
     field = spec.builder(*(params[p] for p in spec.params))
-    return ModelInstance(field, params, initial_state, name)
+    return ModelInstance(field, params, state, name)

@@ -39,7 +39,7 @@ from .exact import (
     sir_endpoints,
     sir_y_of_x,
 )
-from .figures import DEEP_DECAY_ATOL, lv_closed_orbit, polyline_self_intersects
+from .figures import lv_closed_orbit, polyline_self_intersects
 from .integrators import (
     multistage_taylor,
     reference_integrate,
@@ -141,6 +141,9 @@ def validate_config(raw: str):
     name = parser.get("scenario", "name", fallback="").strip()
     if not name:
         errors.append("scenario.name: required")
+    elif name in (".", "..") or "/" in name or "\\" in name:
+        # run_scenario writes to <out>/<name>: one path component only
+        errors.append("scenario.name: must be a plain file name")
     model_name = parser.get("scenario", "model", fallback="").strip()
     spec = MODELS.get(model_name)
     if spec is None:
@@ -149,27 +152,11 @@ def validate_config(raw: str):
     state_text = parser.get("model", "initial_state", fallback="")
     initial_state = tuple(number("model.initial_state", v)
                           for v in state_text.split(",") if v.strip())
-    if spec is not None:
-        dim = len(spec.components)
-        if len(initial_state) != dim:
-            errors.append(f"model.initial_state: expected {dim} component(s) "
-                          f"for {model_name}, got {len(initial_state)}")
-        elif spec.populations and any(v is not None and v < 0
-                                      for v in initial_state):
-            errors.append("model.initial_state: components must be non-negative")
-
     params = {key: number(f"model.params.{key}", text)
               for key, text in (parser.items("model.params")
                                 if parser.has_section("model.params") else ())}
     if spec is not None:
-        required = set(spec.params)
-        for key in sorted(required - set(params)):
-            errors.append(f"model.params.{key}: required for {model_name}")
-        for key in sorted(set(params) - required):
-            errors.append(f"model.params.{key}: unknown parameter for {model_name}")
-        for key in sorted(required & set(params)):
-            if params[key] is not None and params[key] <= 0:
-                errors.append(f"model.params.{key}: must be positive")
+        errors += ["model." + p for p in spec.problems(params, initial_state)]
 
     has_multistage = parser.has_section("multistage")
     scalars = {}
@@ -256,14 +243,6 @@ def load_preset(name: str) -> ScenarioConfig:
     return result
 
 
-def _lv_atol(model):
-    # prey/predator counts sweep many orders of magnitude; only relative
-    # control keeps the logarithmic invariant meaningful.  Positive starts
-    # get it from the log-coordinate solve; this floor serves the solve in
-    # u of a start on an axis
-    return DEEP_DECAY_ATOL if model.label == "lotka_volterra" else None
-
-
 def _endpoint_limit(rho, x):
     """Admissible residual of an epidemic endpoint equation at its root x.
 
@@ -326,7 +305,7 @@ class _Runner:
     @_run
     def reference_tr(self):
         return reference_integrate(self.model, self.config.t_end, self.tol,
-                                   grid=self.grid, atol=_lv_atol(self.model))
+                                   grid=self.grid)
 
     @_run
     def orbit(self):
@@ -428,9 +407,8 @@ class _Runner:
         stages = self.multistage_tr
         # DOP853's steps do not depend on t_eval: this solve takes the plot
         # grid's steps
-        reference = reference_integrate(
-            self.model, self.config.t_end, self.tol, grid=stages.times,
-            atol=_lv_atol(self.model))
+        reference = reference_integrate(self.model, self.config.t_end,
+                                        self.tol, grid=stages.times)
         err = float(np.max(np.abs(stages.states - reference.states)))
         return [threshold_row(
             "multistage_vs_reference", err, 1e-4,

@@ -279,6 +279,16 @@ def test_log_path_meta_records_the_tolerances_passed(monkeypatch):
         assert atol is None or tr.meta["atol"] == atol
 
 
+def test_solve_in_u_of_a_kolmogorov_field_keeps_deep_decay_atol():
+    on_axis = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0),
+                         [0.0, 2.0])
+    tr = reference_integrate(on_axis, 1.0, 1e-10)
+    assert "coordinates" not in tr.meta
+    assert tr.meta["atol"] == 1e-140
+    # a field not in Kolmogorov form keeps the floor scaled by its start
+    assert reference_integrate(sir_slow(), 1.0, 1e-10).meta["atol"] == 1e-10 * 1e-3 * 20.0
+
+
 def test_log_path_keeps_a_deep_decay_non_negative():
     # the prey falls like exp(-300 t); in u the solve returned prey counts
     # of -9.6e-10 (default atol) and -2.9e-139 (DEEP_DECAY_ATOL).  From

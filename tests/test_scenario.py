@@ -14,13 +14,13 @@ from serieslab.convergence import riccati_radii
 from serieslab.figures import FIGURE_IDS, reproduce_figure
 from serieslab.integrators import (TOL_RANGE, DivergenceError, IntegrationError,
                                    reference_integrate)
-from serieslab.models import PolynomialVectorField, build_riccati
+from serieslab.models import (MODELS, ModelInstance, PolynomialVectorField,
+                              build_riccati, make_model)
 from serieslab.report import compare_row, threshold_row
 from serieslab.series import generate_taylor_solution
 from serieslab.scenario import (
     ESTIMATE_ORDER,
     ScenarioConfig,
-    _lv_atol,
     _Runner,
     load_preset,
     preset_names,
@@ -117,6 +117,80 @@ t_end = 1.0
     assert "model.params.c: required" in joined
     assert "model.params.d: required" in joined
     assert "model.params.q: unknown parameter" in joined
+
+
+def model_rule_cases():
+    """(family, params, start) that break one rule each, per family; a
+    negative start breaks none for riccati, whose state is not a count."""
+    for name, spec in MODELS.items():
+        params = {p: 1.0 + i for i, p in enumerate(spec.params)}
+        start = [1.0] * len(spec.components)
+        cases = [("unknown", {**params, "k": 1.0}, start),
+                 ("short", params, start[:-1]),
+                 ("long", params, start + [1.0]),
+                 ("negative", params, [-1.0] + start[1:])]
+        if spec.params:
+            first = spec.params[0]
+            cases += [(f"rate{v}", {**params, first: v}, start)
+                      for v in (0.0, -1.0, math.inf)]
+            cases.append(("missing", {p: v for p, v in params.items() if p != first},
+                          start))
+        for case, bad_params, bad_start in cases:
+            yield pytest.param(name, bad_params, bad_start, id=f"{name}-{case}")
+
+
+def config_text(name, params, start):
+    return (f"[scenario]\nname = t\nmodel = {name}\n\n[model]\n"
+            f"initial_state = {', '.join(map(repr, start))}\n\n[model.params]\n"
+            + "".join(f"{k} = {v!r}\n" for k, v in params.items())
+            + "\n[grid]\nt_end = 1.0\n")
+
+
+@pytest.mark.parametrize("name, params, start", model_rule_cases())
+def test_one_statement_of_each_model_rule(name, params, start):
+    spec = MODELS[name]
+    problems = spec.problems(params, start)
+    assert problems or (name == "riccati" and start == [-1.0])
+    # a config number that is not finite is the parser's to reject
+    parsed = {k: v if math.isfinite(v) else None for k, v in params.items()}
+    lines = ["model." + p for p in spec.problems(parsed, start)]
+    lines = [f"model.params.{k}: must be finite"
+             for k, v in parsed.items() if v is None] + lines
+    result = validate_config(config_text(name, params, start))
+    if not lines:
+        assert isinstance(result, ScenarioConfig)
+        assert make_model(name, params, start).initial_state.tolist() == start
+        return
+    assert [e for e in result if e.startswith("model.")] == lines
+    with pytest.raises(ValueError) as info:
+        make_model(name, params, start)
+    assert str(info.value) == "; ".join(problems)
+    field = spec.builder(*(1.0 + i for i in range(len(spec.params))))
+    with pytest.raises(ValueError) as info:
+        ModelInstance(field, params, start, name)
+    if len(start) == field.dimension:
+        assert str(info.value) == "; ".join(problems)
+
+
+def test_model_rules_skip_unparsed_values():
+    spec = MODELS["lotka_volterra"]
+    assert spec.problems({"a": None, "b": 1.0, "c": 1.0, "d": 1.0},
+                         [None, 1.0]) == []
+    assert spec.problems({"a": math.nan, "b": 1.0, "c": 1.0, "d": 1.0},
+                         [1.0, 1.0]) == ["params.a: must be positive"]
+
+
+@pytest.mark.parametrize("name", ["../x", "/tmp/x", "a/b", "a\\b", ".", ".."])
+def test_scenario_name_is_one_path_component(name, tmp_path, capsys):
+    text = MINIMAL_RICCATI.replace("name = tiny", f"name = {name}")
+    assert validate_config(text) == ["scenario.name: must be a plain file name"]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "deep" / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: scenario.name: must be a plain file name\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ini"]
 
 
 def test_validate_references():
@@ -394,11 +468,11 @@ def test_multistage_rows_solve_on_the_stage_times(text, tmp_path, monkeypatch):
     assert len(calls) == 2
     for grid in (runner.grid, stages):
         assert any(np.array_equal(grid, called) for called in calls)
-    atol = _lv_atol(runner.model)
+    # the solves choose their own absolute floor from the field
     on_grid = reference_integrate(runner.model, config.t_end, 1e-10,
-                                  grid=runner.grid, atol=atol)
+                                  grid=runner.grid)
     on_nodes = reference_integrate(runner.model, config.t_end, 1e-10,
-                                   grid=stages, atol=atol)
+                                   grid=stages)
     assert np.array_equal(runner.reference_tr.states, on_grid.states)
     assert runner.reference_tr.meta == on_grid.meta
     want = float(np.max(np.abs(runner.multistage_tr.states - on_nodes.states)))
@@ -939,3 +1013,4 @@ def test_cli_endpoints_keep_tiny_roots(capsys):
 def test_cli_endpoints_rejects_bad_parameters(capsys):
     assert main(["endpoints", "--beta", "-1", "--gamma", "1",
                  "--x0", "20", "--y0", "15"]) == 2
+    assert capsys.readouterr().err == "error: params.beta: must be positive\n"
