@@ -22,10 +22,11 @@ from .convergence import RATIO_WINDOW, estimate_radius, riccati_radius
 from .csvout import write_csv
 from .exact import sir_endpoints
 from .figures import FIGURE_IDS, reproduce_figure
-from .integrators import TOL_RANGE
+from .integrators import REFERENCE_TOL, TOL_RANGE
 from .models import build_riccati, make_model
 from .report import CSV_COLUMNS
-from .scenario import load_preset, preset_names, run_scenario, validate_config
+from .scenario import (ESTIMATE_ORDER, load_preset, preset_names, run_scenario,
+                       validate_config)
 from .series import generate_taylor_solution
 
 
@@ -59,7 +60,7 @@ def _add_common(parser, overrides=True):
     if overrides:  # a figure draws its preset as the preset stands
         parser.add_argument("--order", type=order, default=None,
                             help="override the series order")
-        parser.add_argument("--tol", type=tolerance, default=1e-10,
+        parser.add_argument("--tol", type=tolerance, default=REFERENCE_TOL,
                             help="reference integrator tolerance")
 
 
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     # older argparse reads a negative number in exponent form, such as
     # -1e200, as an option name; this pattern lets it through as a value
     rad_p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-    rad_p.add_argument("--order", type=ratio_order, default=30, help=(
+    rad_p.add_argument("--order", type=ratio_order, default=ESTIMATE_ORDER, help=(
         f"series order for the ratio estimate, at least {RATIO_WINDOW}"))
 
     end_p = sub.add_parser("endpoints", help="epidemic endpoint queries")

@@ -149,7 +149,8 @@ def estimate_radius(s: TruncatedSeries) -> RadiusReport:
     pole makes every spacing agree (and the estimate near-exact), while a
     complex-conjugate pole pair makes adjacent ratios oscillate strongly; a
     spacing close to the oscillation period damps that almost entirely.
-    Expect a few percent accuracy at order 30 in the complex-pair case.
+    Expect a few percent accuracy at the radius rows' order
+    (``scenario.ESTIMATE_ORDER``) in the complex-pair case.
     """
     window = RATIO_WINDOW
     if s.order < window:

@@ -22,6 +22,13 @@ from .models import (SQRT2, RICCATI_STATIONARY, RICCATI_STATIONARY_ERROR,
                      ModelInstance)
 
 
+#: the tolerance in s = ln(x/x0), so relative in x, of every endpoint root
+ENDPOINT_TOL = 1e-12
+
+#: the absolute error sir_t_of_x asks of its quadrature
+T_OF_X_TOL = 1e-9
+
+
 class BlowUpError(ArithmeticError):
     """Evaluation past a real-time pole of the exact solution."""
 
@@ -96,7 +103,13 @@ def lv_conserved(x: float, y: float, a: float, b: float, c: float, d: float) -> 
     system; constant along every true orbit in the open positive quadrant."""
     if not (x > 0 and y > 0):
         raise ValueError("conserved quantity is defined for positive populations only")
-    return c * math.log(x) + a * math.log(y) - d * x - b * y
+    return _lv_integral(math.log(x), math.log(y), x, y, a, b, c, d)
+
+
+def _lv_integral(log_x, log_y, x, y, a, b, c, d) -> float:
+    """The first integral given ln x and ln y too: a log solve's own w = ln u
+    stays finite where u underflows to 0."""
+    return c * log_x + a * log_y - d * x - b * y
 
 
 def _sir_data(model: ModelInstance):
@@ -163,7 +176,7 @@ class SirEndpoints:
     epidemic_occurs: bool
 
 
-def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def find_root_bracketed(f, lo: float, hi: float, tol: float) -> float:
     """Root of f on [lo, hi] given a sign change, to within roughly
     tol * max(1, |root|) of bracket width.
 
@@ -192,7 +205,7 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     )
 
 
-def sir_endpoints(model: ModelInstance, tol: float = 1e-12) -> SirEndpoints:
+def sir_endpoints(model: ModelInstance) -> SirEndpoints:
     """Solve the endpoint equations of the epidemic.
 
     x_limit is the unique root of y(x) = 0 below the peak; x_over the
@@ -202,8 +215,8 @@ def sir_endpoints(model: ModelInstance, tol: float = 1e-12) -> SirEndpoints:
         die-out:  y0 - x0*expm1(s) + rho*s = 0,
         return:        -x0*expm1(s) + rho*s = 0,
 
-    with rho = gamma/beta.  ``tol`` bounds the root in s, so it is a
-    relative tolerance in x: a root far below 1 keeps its digits.  A
+    with rho = gamma/beta.  ``ENDPOINT_TOL`` bounds the root in s, so it is
+    a relative tolerance in x: a root far below 1 keeps its digits.  A
     die-out point below the smallest float raises ArithmeticError.
     """
     beta, gamma, x0, y0, z0 = _sir_data(model)
@@ -224,7 +237,7 @@ def sir_endpoints(model: ModelInstance, tol: float = 1e-12) -> SirEndpoints:
     while infectives(lo) >= 0.0 and tries < 80:
         lo *= 2.0
         tries += 1
-    s_limit = find_root_bracketed(infectives, lo, s_peak, tol)
+    s_limit = find_root_bracketed(infectives, lo, s_peak, ENDPOINT_TOL)
     x_limit = x0 * math.exp(s_limit)
     if x_limit == 0.0:
         raise ArithmeticError(
@@ -237,14 +250,15 @@ def sir_endpoints(model: ModelInstance, tol: float = 1e-12) -> SirEndpoints:
         return rho * s - x0 * math.expm1(s)
 
     # excess(s_limit) = -y0 < 0 and excess(s_peak) > 0
-    s_over = find_root_bracketed(excess, s_limit, s_peak, tol)
+    s_over = find_root_bracketed(excess, s_limit, s_peak, ENDPOINT_TOL)
     return SirEndpoints(x_limit, x0 * math.exp(s_over), rho,
                         sir_y_of_x(rho, model), True)
 
 
-def sir_t_of_x(x: float, model: ModelInstance, tol: float = 1e-9) -> float:
+def sir_t_of_x(x: float, model: ModelInstance) -> float:
     """Time at which the susceptible count first reaches x, by adaptive
-    quadrature of 1 / (beta * x' * y(x')) from x up to x0.
+    quadrature of 1 / (beta * x' * y(x')) from x up to x0, to an absolute
+    error of ``T_OF_X_TOL``.
 
     The integrand has an integrable singularity at x_limit (the epidemic
     takes infinite time to die out completely), so requests closer than a
@@ -268,9 +282,9 @@ def sir_t_of_x(x: float, model: ModelInstance, tol: float = 1e-9) -> float:
 
     from scipy.integrate import quad
 
-    value, abserr = quad(integrand, x, x0, epsabs=tol, epsrel=1e-11, limit=400)
-    if abserr > max(10.0 * tol, 1e-7 * abs(value)):
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.3g} exceeds the requested {tol:.3g}"
-        )
+    value, abserr = quad(integrand, x, x0, epsabs=T_OF_X_TOL, epsrel=1e-11,
+                         limit=400)
+    if abserr > max(10.0 * T_OF_X_TOL, 1e-7 * abs(value)):
+        raise QuadratureError(f"quadrature error estimate {abserr:.3g} exceeds "
+                              f"the requested {T_OF_X_TOL:.3g}")
     return float(value)

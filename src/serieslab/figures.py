@@ -18,7 +18,8 @@ import numpy as np
 from .csvout import write_csv
 from .exact import sir_curves, sir_endpoints
 # re-exports DEEP_DECAY_ATOL, which callers read as figures.DEEP_DECAY_ATOL
-from .integrators import DEEP_DECAY_ATOL, Trajectory, _dop853
+from .integrators import (DEEP_DECAY_ATOL, REFERENCE_TOL, Trajectory, _dop853,
+                          _from_log)
 from .models import ModelInstance
 from .svgplot import LinePlot
 
@@ -95,10 +96,10 @@ def lv_closed_orbit(model: ModelInstance) -> tuple[float, Trajectory]:
     """The period of a predator-prey solution and its orbit, sampled at
     1200 uniform times over 0.999 of one period (just short of closing).
 
-    One solve of reference_integrate's, in w = ln u at its default
-    tolerance, stops at the second of two upward crossings of the center's
-    predator level y = a/b, which every orbit crosses once per period; its
-    dense output gives the orbit.
+    One solve of reference_integrate's, in w = ln u at ``REFERENCE_TOL``,
+    stops at the second of two upward crossings of the center's predator
+    level y = a/b, which every orbit crosses once per period; its dense
+    output gives the orbit, with w as its ``log_states``.
     """
     if model.label != "lotka_volterra":
         raise ValueError("expected a lotka_volterra model instance")
@@ -116,16 +117,14 @@ def lv_closed_orbit(model: ModelInstance) -> tuple[float, Trajectory]:
 
     crossing.direction = 1.0
     crossing.terminal = 2
-    sol, _ = _dop853(model, ORBIT_SEARCH_TIME, 1e-10, events=[crossing],
+    sol, _ = _dop853(model, ORBIT_SEARCH_TIME, REFERENCE_TOL, events=[crossing],
                      dense_output=True)
     events = sol.t_events[1]
     if len(events) < 2:
         raise RuntimeError("could not detect an orbital period")
     period = float(events[1] - events[0])
     grid = np.linspace(0.0, 0.999 * period, 1200)
-    # math.exp, as reference_integrate maps w back to u
-    states = [[math.exp(v) for v in row] for row in sol.sol(grid).T.tolist()]
-    return period, Trajectory(grid, states, "reference")
+    return period, _from_log(grid, sol.sol(grid).T, {})
 
 
 def _params(config, start: bool) -> str:

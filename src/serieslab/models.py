@@ -199,7 +199,8 @@ class ModelInstance:
     label: str
 
     def __post_init__(self):
-        state = np.asarray(self.initial_state, dtype=float)
+        # a copy: freezing the caller's own array would freeze it for them
+        state = np.array(self.initial_state, dtype=float)
         state.flags.writeable = False
         object.__setattr__(self, "initial_state", state)
         object.__setattr__(self, "params", dict(self.params))

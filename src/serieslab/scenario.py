@@ -33,6 +33,8 @@ from .convergence import (
 )
 from .csvout import write_csv
 from .exact import (
+    ENDPOINT_TOL,
+    _lv_integral,
     lv_conserved,
     riccati_exact,
     sir_curves,
@@ -41,6 +43,7 @@ from .exact import (
 )
 from .figures import lv_closed_orbit, polyline_self_intersects
 from .integrators import (
+    REFERENCE_TOL,
     multistage_taylor,
     reference_integrate,
     sample_series,
@@ -59,7 +62,8 @@ from .report import (
 from .series import generate_taylor_solution
 from .svgplot import LinePlot
 
-#: order used when a radius has to be estimated from coefficients
+#: order used when a radius has to be estimated from coefficients, by the
+#: radius rows and by default by ``serieslab radius``
 ESTIMATE_ORDER = 30
 
 #: exceptions an analysis may end in that become an error row: divergence,
@@ -84,16 +88,18 @@ class MultistageSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario; validate_config states every default."""
+
     name: str
     model_name: str
     params: dict
     initial_state: tuple
     t_end: float
     samples: int
-    series_order: int = 5
-    multistage: MultistageSettings | None = None
-    analyses: tuple = ()
-    references: tuple = ()
+    series_order: int
+    multistage: MultistageSettings | None
+    analyses: tuple
+    references: tuple
 
 
 #: the scalar options, read by one loop: section, option, type, default
@@ -246,11 +252,11 @@ def load_preset(name: str) -> ScenarioConfig:
 def _endpoint_limit(rho, x):
     """Admissible residual of an epidemic endpoint equation at its root x.
 
-    The root is located to 1e-12 relative in x (in s = ln(x/x0)), so the
-    residual scales with the slope rho - x of the equation in s.  Above
-    x = 1 the bound is that of a root located to 1e-12 absolute in x,
-    the tighter of the two."""
-    return max(1e-9, 1e-11 * abs(rho - x) / max(1.0, x))
+    The root is located to ENDPOINT_TOL relative in x (in s = ln(x/x0)),
+    so the residual scales with the slope rho - x of the equation in s,
+    with a factor 10 to spare.  Above x = 1 the bound is that of a root
+    located to ENDPOINT_TOL absolute in x, the tighter of the two."""
+    return max(1e-9, 10 * ENDPOINT_TOL * abs(rho - x) / max(1.0, x))
 
 
 def _run(compute):
@@ -272,7 +278,7 @@ def _run(compute):
 
 
 class _Runner:
-    def __init__(self, config: ScenarioConfig, tol: float = 1e-10):
+    def __init__(self, config: ScenarioConfig, tol: float = REFERENCE_TOL):
         self.config = config
         self.tol = tol
         self.model = make_model(config.model_name, config.params,
@@ -470,9 +476,11 @@ class _Runner:
         series, reference = self.series_tr, self.reference_tr
         p = self.model.params
         rates = (p["a"], p["b"], p["c"], p["d"])
+        # a start on an axis, the one start solved in u, has no first
+        # integral: h0 raises.  Along the reference it reads the solve's w
         h0 = lv_conserved(*(float(v) for v in self.model.initial_state), *rates)
-        drift = max(abs(lv_conserved(float(x), float(y), *rates) - h0)
-                    for x, y in reference.states)
+        drift = max(abs(_lv_integral(*w, *u, *rates) - h0) for w, u in
+                    zip(reference.log_states.tolist(), reference.states.tolist()))
         # leaving the positive quadrant is an unbounded violation: the
         # conserved level set never touches the axes
         violation = 0.0
@@ -489,8 +497,9 @@ class _Runner:
                           "first integral along the reference trajectory"),
             threshold_row("conserved_violation_series", violation, 1.0,
                           "series points abandon the conserved curve", "above"),
+            # every finite w = ln u is a positive population, underflowed or not
             bool_row("reference_stays_positive",
-                     bool(np.all(reference.states > 0)), True,
+                     bool(np.all(np.isfinite(reference.log_states))), True,
                      "true orbits stay in the open positive quadrant"),
         ]
 
@@ -604,7 +613,7 @@ def _enabled(model_name, analyses, multistage: bool, initial_state):
 
 
 def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "both",
-                 tol: float = 1e-10) -> ComparisonReport:
+                 tol: float = REFERENCE_TOL) -> ComparisonReport:
     """Execute one validated scenario and write its artifacts.
 
     Creates ``out_dir/<scenario name>/`` containing trajectory CSVs, an

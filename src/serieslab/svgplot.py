@@ -15,8 +15,9 @@ import numpy as np
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
-def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def nice_ticks(lo: float, hi: float) -> list[float]:
     """Tick positions on a 1-2-5 ladder covering [lo, hi]."""
+    target = 6  # the finest step giving at most this many intervals wins
     span = hi - lo
     if not (math.isfinite(span) and span > 0):
         return [lo]

@@ -54,8 +54,12 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)), "series")
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0]), np.zeros((2, 1)), "guesswork")
+    with pytest.raises(ValueError, match="log_states must have the shape of states"):
+        Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)), "reference", {},
+                   np.zeros((2, 1)))
     tr = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)), "reference")
     assert tr.states.shape == (2, 3)
+    assert tr.log_states is None
     with pytest.raises(ValueError):
         tr.times[0] = 5.0
 
@@ -302,6 +306,33 @@ def test_log_path_keeps_a_deep_decay_non_negative():
     assert np.all(tr.states[tr.times <= 2.0] > 0.0)
 
 
+def test_log_path_keeps_the_w_its_states_came_from():
+    # math.exp of each w is the state bit for bit; the prey's w stays
+    # finite where its count underflows to 0, and stays out of meta
+    model = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=0.01, d=1.0),
+                       [1.0, 300.0])
+    tr = reference_integrate(model, 5.0, 1e-10)
+    _, orbit = lv_closed_orbit(lv_case_v())
+    for traj in (tr, orbit):
+        assert traj.log_states.shape == traj.states.shape
+        assert ([[math.exp(w) for w in row] for row in traj.log_states.tolist()]
+                == traj.states.tolist())
+        with pytest.raises(ValueError):
+            traj.log_states[0, 0] = 0.0
+    assert tr.states[-1, 0] == 0.0
+    assert np.all(np.isfinite(tr.log_states))
+    assert "log_states" not in tr.meta
+
+
+@pytest.mark.parametrize("model", [
+    build_riccati(0.0),
+    sir_slow(),
+    make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [0.0, 2.0]),
+], ids=["riccati", "sir", "lv-on-an-axis"])
+def test_a_solve_in_u_keeps_no_log_states(model):
+    assert reference_integrate(model, 1.0).log_states is None
+
+
 def test_log_path_blow_up_raises_integration_error():
     # u' = u^2 from 1 is in Kolmogorov form (w' = e^w) and has its pole at t = 1
     field = PolynomialVectorField(1, ((Monomial(1.0, (2,)),),))
@@ -492,7 +523,7 @@ def test_sample_series_grid_validation():
     sol = generate_taylor_solution(build_riccati(0.0), 5)
     with pytest.raises(ValueError):
         sample_series(sol, np.array([0.1, 0.2]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="times must be strictly increasing"):
         sample_series(sol, np.array([0.0, 0.2, 0.2]))
 
 

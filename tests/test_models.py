@@ -175,6 +175,17 @@ def test_model_instance_validation():
         model.initial_state[0] = 9.0
 
 
+def test_model_instance_copies_its_start():
+    # freezing the caller's own array froze it for the caller
+    start = np.array([3.0, 2.0])
+    model = make_model("lotka_volterra", {"a": 1, "b": 2, "c": 3, "d": 4}, start)
+    assert start.flags.writeable
+    assert model.initial_state is not start
+    assert not model.initial_state.flags.writeable
+    start[0] = 9.0
+    assert model.initial_state.tolist() == [3.0, 2.0]
+
+
 def test_make_model_round_trips():
     model = make_model("lotka_volterra", {"a": 1, "b": 2, "c": 3, "d": 4}, [1.0, 1.0])
     assert model.label == "lotka_volterra"

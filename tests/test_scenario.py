@@ -1,6 +1,7 @@
 import hashlib
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import serieslab.cli
+import serieslab.exact
+import serieslab.figures
 import serieslab.scenario
 from serieslab.cli import main
 from serieslab.convergence import riccati_radii
-from serieslab.figures import FIGURE_IDS, reproduce_figure
-from serieslab.integrators import (TOL_RANGE, DivergenceError, IntegrationError,
-                                   reference_integrate)
+from serieslab.exact import ENDPOINT_TOL, sir_endpoints
+from serieslab.figures import FIGURE_IDS, lv_closed_orbit, reproduce_figure
+from serieslab.integrators import (REFERENCE_TOL, TOL_RANGE, DivergenceError,
+                                   IntegrationError, reference_integrate)
 from serieslab.models import (MODELS, ModelInstance, PolynomialVectorField,
                               build_riccati, make_model)
 from serieslab.report import compare_row, threshold_row
@@ -21,6 +25,7 @@ from serieslab.series import generate_taylor_solution
 from serieslab.scenario import (
     ESTIMATE_ORDER,
     ScenarioConfig,
+    _endpoint_limit,
     _Runner,
     load_preset,
     preset_names,
@@ -531,11 +536,16 @@ items = conserved
 """
 
 
-def test_deep_decay_reference_stays_positive(tmp_path):
-    # the prey falls to about 1e-256 by t = 2 (past t = 2.5 it drops below
-    # the smallest float); the solve in u sent it negative within t = 0.1
-    report = run_scenario(validate_config(DEEP_DECAY_LV), tmp_path, fmt="csv")
+@pytest.mark.parametrize("t_end", [2.0, 5.0])
+def test_deep_decay_reference_stays_positive(t_end, tmp_path):
+    # the prey falls to about 1e-256 by t = 2, and past t = 2.5 below the
+    # smallest float, where the rows read the first integral from the
+    # solve's own ln x; the solve in u sent it negative within t = 0.1
+    text = DEEP_DECAY_LV.replace("t_end = 2.0", f"t_end = {t_end}")
+    report = run_scenario(validate_config(text), tmp_path, fmt="csv")
     rows = {row.quantity: row for row in report.rows}
+    assert list(rows) == ["conserved_drift_reference", "conserved_violation_series",
+                          "reference_stays_positive"]
     assert rows["reference_stays_positive"].computed is True
     assert all(row.passed for row in report.rows)
 
@@ -951,6 +961,44 @@ def test_cli_override_ranges_include_their_bounds():
     assert serieslab.cli.tolerance("1e-3") == TOL_RANGE[1]
     with pytest.raises(ValueError, match="tol must lie in"):
         reference_integrate(build_riccati(0.0), 1.0, tol=math.nextafter(TOL_RANGE[1], 1.0))
+
+
+def test_each_run_wide_default_reads_its_owner(monkeypatch):
+    # each tolerance is one float object, stated once (a literal elsewhere
+    # would be another object); small ints are shared, so the order is ==
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    for fn in (reference_integrate, _Runner, run_scenario):
+        assert default(fn, "tol") is REFERENCE_TOL
+    parser = serieslab.cli.build_parser()
+    for argv in (["run", "lv-orbit"], ["report-all"]):
+        assert parser.parse_args(argv).tol is REFERENCE_TOL
+    assert parser.parse_args(["radius", "--y0", "0"]).order == ESTIMATE_ORDER
+    tols = []
+
+    def spy(module, name, position):
+        # records the argument at ``position``, the callee's tol
+        forward = getattr(module, name)
+
+        def record(*args, **kwargs):
+            tols.append(args[position])
+            return forward(*args, **kwargs)
+        monkeypatch.setattr(module, name, record)
+
+    spy(serieslab.figures, "_dop853", 2)
+    spy(serieslab.exact, "find_root_bracketed", 3)
+    lv_closed_orbit(_Runner(load_preset("lv-orbit")).model)
+    sir_endpoints(_Runner(load_preset("sir-slow")).model)
+    assert len(tols) == 3
+    assert tols[0] is REFERENCE_TOL
+    assert all(tol is ENDPOINT_TOL for tol in tols[1:])
+    # the residual bound of an endpoint row, 1e-11 times the slope in s
+    assert 10 * ENDPOINT_TOL == 1e-11
+    assert _endpoint_limit(1e6, 1.0) == 10 * ENDPOINT_TOL * (1e6 - 1.0)
+    # validate_config alone states a config's defaults
+    assert all(f.default is MISSING and f.default_factory is MISSING
+               for f in fields(ScenarioConfig))
 
 
 @pytest.mark.parametrize("order", ["0", "1", "7"])
