@@ -26,15 +26,12 @@ from .exact import (
     sir_y_of_x,
     sir_z_of_x,
 )
-from .figures import (
-    lv_closed_orbit,
-    polyline_self_intersects,
-    reproduce_figure,
-)
+from .figures import polyline_self_intersects, reproduce_figure
 from .integrators import (
     DivergenceError,
     IntegrationError,
     Trajectory,
+    lv_closed_orbit,
     multistage_taylor,
     reference_integrate,
     sample_series,

@@ -9,7 +9,6 @@ curves that never reach the endpoint region.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from pathlib import Path
 
@@ -18,17 +17,12 @@ import numpy as np
 from .csvout import write_csv
 from .exact import sir_curves, sir_endpoints
 # re-exports DEEP_DECAY_ATOL, which callers read as figures.DEEP_DECAY_ATOL
-from .integrators import (DEEP_DECAY_ATOL, REFERENCE_TOL, Trajectory, _dop853,
-                          _from_log)
-from .models import ModelInstance
+from .integrators import DEEP_DECAY_ATOL
 from .svgplot import LinePlot
 
 #: an orientation (a cross product of point differences) has a side only
 #: beyond this share of its error scale (see polyline_self_intersects)
 ORIENTATION_EPS = 8 * np.finfo(float).eps
-
-#: how far in time lv_closed_orbit looks for two upward crossings
-ORBIT_SEARCH_TIME = 200.0
 
 
 def polyline_self_intersects(points) -> bool:
@@ -90,41 +84,6 @@ def polyline_self_intersects(points) -> bool:
         if np.any(hits):
             return True
     return False
-
-
-def lv_closed_orbit(model: ModelInstance) -> tuple[float, Trajectory]:
-    """The period of a predator-prey solution and its orbit, sampled at
-    1200 uniform times over 0.999 of one period (just short of closing).
-
-    One solve of reference_integrate's, in w = ln u at ``REFERENCE_TOL``,
-    stops at the second of two upward crossings of the center's predator
-    level y = a/b, which every orbit crosses once per period; its dense
-    output gives the orbit, with w as its ``log_states``.
-    """
-    if model.label != "lotka_volterra":
-        raise ValueError("expected a lotka_volterra model instance")
-    params = model.params
-    level = params["a"] / params["b"]
-    x0, y0 = (float(v) for v in model.initial_state)
-    if (x0, y0) == (params["c"] / params["d"], level):
-        raise ValueError("start is the stationary center; there is no orbit")
-    if x0 == 0.0 or y0 == 0.0:
-        raise ValueError("start on an axis; the solution never circles the center")
-    log_level = math.log(level)
-
-    def crossing(t, w):
-        return w[1] - log_level
-
-    crossing.direction = 1.0
-    crossing.terminal = 2
-    sol, _ = _dop853(model, ORBIT_SEARCH_TIME, REFERENCE_TOL, events=[crossing],
-                     dense_output=True)
-    events = sol.t_events[1]
-    if len(events) < 2:
-        raise RuntimeError("could not detect an orbital period")
-    period = float(events[1] - events[0])
-    grid = np.linspace(0.0, 0.999 * period, 1200)
-    return period, _from_log(grid, sol.sol(grid).T, {})
 
 
 def _params(config, start: bool) -> str:

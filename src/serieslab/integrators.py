@@ -7,7 +7,8 @@ The step is deliberately user-chosen, not adaptive: the point of this lab
 is to make the radius constraint visible, not to hide it.
 
 Ground truth comes from an embedded adaptive Runge-Kutta pair (DOP853)
-with mixed absolute/relative error control.
+with mixed absolute/relative error control.  One such solve, stopped at
+two crossings of a level, gives a predator-prey orbit and its period.
 """
 
 from __future__ import annotations
@@ -300,6 +301,9 @@ TOL_RANGE = (1e-13, 1e-3)
 #: runner's, the figures' and the closed orbit's, and ``--tol``'s default
 REFERENCE_TOL = 1e-10
 
+#: how far in time lv_closed_orbit looks for two upward crossings
+ORBIT_SEARCH_TIME = 200.0
+
 
 def reference_integrate(
     model: ModelInstance,
@@ -413,6 +417,41 @@ def _dop853(model: ModelInstance, t_end: float, tol: float,
                         atol=atol, t_eval=t_eval, events=[blow_up, *events],
                         dense_output=dense_output)
     return sol, meta
+
+
+def lv_closed_orbit(model: ModelInstance) -> tuple[float, Trajectory]:
+    """The period of a predator-prey solution and its orbit, sampled at
+    1200 uniform times over 0.999 of one period (just short of closing).
+
+    One solve of reference_integrate's, in w = ln u at ``REFERENCE_TOL``,
+    stops at the second of two upward crossings of the center's predator
+    level y = a/b, which every orbit crosses once per period; its dense
+    output gives the orbit, with w as its ``log_states``.
+    """
+    if model.label != "lotka_volterra":
+        raise ValueError("expected a lotka_volterra model instance")
+    params = model.params
+    level = params["a"] / params["b"]
+    x0, y0 = (float(v) for v in model.initial_state)
+    if (x0, y0) == (params["c"] / params["d"], level):
+        raise ValueError("start is the stationary center; there is no orbit")
+    if x0 == 0.0 or y0 == 0.0:
+        raise ValueError("start on an axis; the solution never circles the center")
+    log_level = math.log(level)
+
+    def crossing(t, w):
+        return w[1] - log_level
+
+    crossing.direction = 1.0
+    crossing.terminal = 2
+    sol, _ = _dop853(model, ORBIT_SEARCH_TIME, REFERENCE_TOL, events=[crossing],
+                     dense_output=True)
+    events = sol.t_events[1]
+    if len(events) < 2:
+        raise RuntimeError("could not detect an orbital period")
+    period = float(events[1] - events[0])
+    grid = np.linspace(0.0, 0.999 * period, 1200)
+    return period, _from_log(grid, sol.sol(grid).T, {})
 
 
 def sample_series(solution: SeriesSolution, grid) -> Trajectory:

@@ -6,8 +6,8 @@ what makes exact power-series recursion possible: products of truncated
 series are again truncated series, with no approximation beyond the
 truncation itself.
 
-Three concrete systems are provided as builders, each registered with its
-parameter and component names as a ``ModelSpec`` in ``MODELS``:
+Three concrete systems are registered in ``MODELS``, each a ``ModelSpec``
+holding its parameter and component names and its monomials:
 
 * a scalar quadratic equation dY/dt = 1 + 2Y - Y^2 with an attracting
   state at 1 + sqrt(2),
@@ -18,7 +18,6 @@ parameter and component names as a ``ModelSpec`` in ``MODELS``:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -220,54 +219,17 @@ def build_riccati(y0: float) -> ModelInstance:
     return make_model("riccati", {}, [float(y0)])
 
 
-def _riccati_field() -> PolynomialVectorField:
-    return PolynomialVectorField(
-        dimension=1,
-        equations=(
-            (
-                Monomial(1.0, (0,)),
-                Monomial(2.0, (1,)),
-                Monomial(-1.0, (2,)),
-            ),
-        ),
-    )
-
-
 def build_lotka_volterra(a: float, b: float, c: float, d: float) -> PolynomialVectorField:
-    """Predator-prey field dx/dt = ax - bxy, dy/dt = -cy + dxy.
-
-    x is the prey population, y the predator population; all four rates
-    must be strictly positive.
-    """
-    for name, value in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"parameter {name} must be strictly positive")
-    return PolynomialVectorField(
-        dimension=2,
-        equations=(
-            (Monomial(a, (1, 0)), Monomial(-b, (1, 1))),
-            (Monomial(-c, (0, 1)), Monomial(d, (1, 1))),
-        ),
-    )
+    """Predator-prey field dx/dt = ax - bxy, dy/dt = -cy + dxy of the prey
+    x and the predator y; the four rates must be finite and positive."""
+    return MODELS["lotka_volterra"].field(dict(a=a, b=b, c=c, d=d))
 
 
 def build_sir(beta: float, gamma: float) -> PolynomialVectorField:
-    """Epidemic field dx/dt = -bxy, dy/dt = bxy - gy, dz/dt = gy.
-
-    x, y, z are susceptible, infective and removed counts.  The three
-    right-hand sides sum to zero, so the total population is conserved.
-    """
-    for name, value in (("beta", beta), ("gamma", gamma)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"parameter {name} must be strictly positive")
-    return PolynomialVectorField(
-        dimension=3,
-        equations=(
-            (Monomial(-beta, (1, 1, 0)),),
-            (Monomial(beta, (1, 1, 0)), Monomial(-gamma, (0, 1, 0))),
-            (Monomial(gamma, (0, 1, 0)),),
-        ),
-    )
+    """Epidemic field dx/dt = -bxy, dy/dt = bxy - gy, dz/dt = gy of the
+    susceptible, infective and removed counts x, y, z.  The three
+    right-hand sides sum to zero, so the total population is conserved."""
+    return MODELS["sir"].field(dict(beta=beta, gamma=gamma))
 
 
 @dataclass(frozen=True)
@@ -275,16 +237,17 @@ class ModelSpec:
     """Everything a scenario needs to know about one model family."""
 
     name: str
-    params: tuple[str, ...]       # in the builder's argument order
+    params: tuple[str, ...]       # rate names, in the build_* argument order
     components: tuple[str, ...]   # state names, one per dimension
-    builder: Callable[..., PolynomialVectorField]
     populations: bool             # components are counts: starts are non-negative
+    #: each equation's monomials as (factor, rate name or None, exponents),
+    #: whose coefficient is factor * params[rate], or factor alone
+    equations: tuple[tuple[tuple[float, str | None, tuple[int, ...]], ...], ...]
 
     def problems(self, params, state) -> list[str]:
-        """Every way ``params`` (names to rates) and the start ``state``
-        break this family's rules, as ``field: message`` strings; none when
-        they make a valid instance.  Each rate must be finite and positive.
-        A value of None (one that did not parse) is not judged."""
+        """Every way the rates ``params`` (by name) and the start ``state``
+        break this family's rules, as ``field: message`` strings, the
+        start's first; a value of None (one that did not parse) is not judged."""
         out = []
         dim = len(self.components)
         if len(state) != dim:
@@ -292,21 +255,44 @@ class ModelSpec:
                        f"for {self.name}, got {len(state)}")
         elif self.populations and any(v is not None and v < 0 for v in state):
             out.append("initial_state: components must be non-negative")
-        if params.keys() != set(self.params):
-            out += [f"params.{k}: required for {self.name}"
-                    for k in sorted(set(self.params) - params.keys())]
-            out += [f"params.{k}: unknown parameter for {self.name}"
-                    for k in sorted(params.keys() - set(self.params))]
+        return out + self.rate_problems(params)
+
+    def rate_problems(self, params) -> list[str]:
+        """The rate part of ``problems``: each rate must be given, and be
+        finite and positive, and no other name may be."""
+        names = set(self.params)
+        out = [] if params.keys() == names else (
+            [f"params.{k}: required for {self.name}" for k in sorted(names - params.keys())]
+            + [f"params.{k}: unknown parameter for {self.name}"
+               for k in sorted(params.keys() - names)])
         # NaN fails both comparisons
-        return out + [f"params.{k}: must be positive" for k in sorted(self.params)
+        return out + [f"params.{k}: must be positive" for k in sorted(names)
                       if params.get(k) is not None and not 0.0 < params[k] < math.inf]
+
+    def field(self, params) -> PolynomialVectorField:
+        """This family's field at the rates ``params``, each coefficient a rate's
+        float or its negation, exactly; a ValueError states their ``rate_problems``."""
+        problems = self.rate_problems(params)
+        if problems:
+            raise ValueError("; ".join(problems))
+        return PolynomialVectorField(len(self.components), tuple(
+            tuple(Monomial(factor if rate is None else factor * params[rate], exponents)
+                  for factor, rate, exponents in eq) for eq in self.equations))
 
 
 MODELS = {spec.name: spec for spec in (
-    ModelSpec("riccati", (), ("y",), _riccati_field, False),
-    ModelSpec("lotka_volterra", ("a", "b", "c", "d"), ("x", "y"),
-              build_lotka_volterra, True),
-    ModelSpec("sir", ("beta", "gamma"), ("x", "y", "z"), build_sir, True),
+    ModelSpec("riccati", (), ("y",), False, (
+        ((1.0, None, (0,)), (2.0, None, (1,)), (-1.0, None, (2,))),
+    )),
+    ModelSpec("lotka_volterra", ("a", "b", "c", "d"), ("x", "y"), True, (
+        ((1.0, "a", (1, 0)), (-1.0, "b", (1, 1))),
+        ((-1.0, "c", (0, 1)), (1.0, "d", (1, 1))),
+    )),
+    ModelSpec("sir", ("beta", "gamma"), ("x", "y", "z"), True, (
+        ((-1.0, "beta", (1, 1, 0)),),
+        ((1.0, "beta", (1, 1, 0)), (-1.0, "gamma", (0, 1, 0))),
+        ((1.0, "gamma", (0, 1, 0)),),
+    )),
 )}
 
 
@@ -324,5 +310,4 @@ def make_model(name: str, params: dict[str, float], initial_state) -> ModelInsta
     problems = spec.problems(params, state.ravel().tolist())
     if problems:
         raise ValueError("; ".join(problems))
-    field = spec.builder(*(params[p] for p in spec.params))
-    return ModelInstance(field, params, state, name)
+    return ModelInstance(spec.field(params), params, state, name)

@@ -41,9 +41,10 @@ from .exact import (
     sir_endpoints,
     sir_y_of_x,
 )
-from .figures import lv_closed_orbit, polyline_self_intersects
+from .figures import polyline_self_intersects
 from .integrators import (
     REFERENCE_TOL,
+    lv_closed_orbit,
     multistage_taylor,
     reference_integrate,
     sample_series,
@@ -441,7 +442,7 @@ class _Runner:
     def endpoints_rows(self):
         model = self.model
         ends = sir_endpoints(model)
-        x0 = float(model.initial_state[0])
+        x0, y0 = (float(v) for v in model.initial_state[:2])
         rho = model.params["gamma"] / model.params["beta"]
         resid = abs(sir_y_of_x(ends.x_limit, model))
         limit = _endpoint_limit(rho, ends.x_limit)
@@ -453,7 +454,7 @@ class _Runner:
                      "threshold x0 > gamma/beta"),
         ]
         if ends.epidemic_occurs:
-            resid_over = abs(x0 - ends.x_over + rho * math.log(ends.x_over / x0))
+            resid_over = abs(sir_y_of_x(ends.x_over, model) - y0)
             limit = _endpoint_limit(rho, ends.x_over)
             xg = np.geomspace(ends.x_limit * 1.001, x0, 4001)
             grid_max = float(np.max(sir_curves(xg, model)[0]))

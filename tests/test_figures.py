@@ -15,11 +15,10 @@ from serieslab.cli import main
 from serieslab.figures import (
     FIGURE_IDS,
     ORIENTATION_EPS,
-    lv_closed_orbit,
     polyline_self_intersects,
     reproduce_figure,
 )
-from serieslab.integrators import reference_integrate, sample_series
+from serieslab.integrators import lv_closed_orbit, reference_integrate, sample_series
 from serieslab.models import make_model
 from serieslab.scenario import _Runner, load_preset, run_scenario
 from serieslab.series import generate_taylor_solution

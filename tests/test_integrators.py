@@ -8,12 +8,12 @@ import scipy.integrate
 
 import serieslab.integrators
 from serieslab.exact import lv_conserved, riccati_exact, sir_endpoints
-from serieslab.figures import lv_closed_orbit
 from serieslab.integrators import (
     DIVERGENCE_LIMIT,
     DivergenceError,
     IntegrationError,
     Trajectory,
+    lv_closed_orbit,
     multistage_taylor,
     reference_integrate,
     sample_series,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -208,7 +210,7 @@ def test_model_specs_drive_make_model():
         model = make_model(name, params, start)
         assert model.label == name
         assert model.field.dimension == len(spec.components)
-        assert model.field == spec.builder(*params.values())
+        assert model.field == spec.field(params)
         negative = [-1.0] + start[1:]
         if spec.populations:
             with pytest.raises(ValueError, match="non-negative"):
@@ -216,9 +218,77 @@ def test_model_specs_drive_make_model():
         else:
             assert make_model(name, params, negative).initial_state[0] == -1.0
     riccati = build_riccati(0.5)
-    assert riccati.field == MODELS["riccati"].builder()
+    assert riccati.field == MODELS["riccati"].field({})
     assert (riccati.label, riccati.params, riccati.initial_state.tolist()) == (
         "riccati", {}, [0.5])
+
+
+def handwritten_field(name, rates):
+    """Each family's field with its monomials written out by hand."""
+    if name == "riccati":
+        equations = ((Monomial(1.0, (0,)), Monomial(2.0, (1,)), Monomial(-1.0, (2,))),)
+    elif name == "lotka_volterra":
+        a, b, c, d = (rates[k] for k in "abcd")
+        equations = ((Monomial(a, (1, 0)), Monomial(-b, (1, 1))),
+                     (Monomial(-c, (0, 1)), Monomial(d, (1, 1))))
+    else:
+        beta, gamma = rates["beta"], rates["gamma"]
+        equations = ((Monomial(-beta, (1, 1, 0)),),
+                     (Monomial(beta, (1, 1, 0)), Monomial(-gamma, (0, 1, 0))),
+                     (Monomial(gamma, (0, 1, 0)),))
+    return PolynomialVectorField(len(equations), equations)
+
+
+def coefficient_bits(field):
+    return [[(m.coefficient.hex(), m.exponents) for m in eq] for eq in field.equations]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_family_field_is_its_handwritten_monomials(seed):
+    # integer rates too, 2**53 + 1 among them, which no float holds: the
+    # coefficient is the rate's float, or its negation, bit for bit
+    rng = np.random.default_rng(seed)
+    for name, spec in MODELS.items():
+        start = [1.0] * len(spec.components)
+        for _ in range(40):
+            choices = [float(rng.lognormal(0.0, 20.0)), int(rng.integers(1, 10**6)),
+                       2**53 + 1, 10**300, 1e-300, 1e300]
+            rates = {k: choices[int(rng.integers(len(choices)))] for k in spec.params}
+            want = handwritten_field(name, rates)
+            got = [spec.field(rates), make_model(name, rates, start).field]
+            if name == "lotka_volterra":
+                got.append(build_lotka_volterra(*(rates[k] for k in "abcd")))
+            elif name == "sir":
+                got.append(build_sir(rates["beta"], rates["gamma"]))
+            for field in got:
+                assert field == want
+                assert coefficient_bits(field) == coefficient_bits(want)
+
+
+@pytest.mark.parametrize("bad", [0, -1.0, math.inf, math.nan, "missing", "unknown"])
+def test_every_field_builder_raises_the_problems_text(bad):
+    builders = {"riccati": None, "lotka_volterra": build_lotka_volterra,
+                "sir": build_sir}
+    for name, build in builders.items():
+        spec = MODELS[name]
+        rates = {p: 1.0 + i for i, p in enumerate(spec.params)}
+        if bad == "unknown":
+            rates["k"] = 1.0
+        elif not spec.params:
+            continue  # riccati has no rate to miss or break
+        elif bad == "missing":
+            del rates[spec.params[0]]
+        else:
+            rates[spec.params[-1]] = bad
+        text = "; ".join(spec.problems(rates, [1.0] * len(spec.components)))
+        assert text.startswith("params.")
+        calls = [lambda: spec.field(rates)]
+        if build is not None and rates.keys() == set(spec.params):
+            calls.append(lambda: build(*(rates[p] for p in spec.params)))
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == text
 
 
 def test_per_capita_field_of_the_kolmogorov_form():

@@ -10,14 +10,15 @@ from scipy.optimize import minimize_scalar
 
 import serieslab.cli
 import serieslab.exact
-import serieslab.figures
+import serieslab.integrators
 import serieslab.scenario
 from serieslab.cli import main
 from serieslab.convergence import riccati_radii
 from serieslab.exact import ENDPOINT_TOL, sir_endpoints
-from serieslab.figures import FIGURE_IDS, lv_closed_orbit, reproduce_figure
+from serieslab.figures import FIGURE_IDS, reproduce_figure
 from serieslab.integrators import (REFERENCE_TOL, TOL_RANGE, DivergenceError,
-                                   IntegrationError, reference_integrate)
+                                   IntegrationError, lv_closed_orbit,
+                                   reference_integrate)
 from serieslab.models import (MODELS, ModelInstance, PolynomialVectorField,
                               build_riccati, make_model)
 from serieslab.report import compare_row, threshold_row
@@ -170,7 +171,7 @@ def test_one_statement_of_each_model_rule(name, params, start):
     with pytest.raises(ValueError) as info:
         make_model(name, params, start)
     assert str(info.value) == "; ".join(problems)
-    field = spec.builder(*(1.0 + i for i in range(len(spec.params))))
+    field = spec.field({p: 1.0 + i for i, p in enumerate(spec.params)})
     with pytest.raises(ValueError) as info:
         ModelInstance(field, params, start, name)
     if len(start) == field.dimension:
@@ -986,7 +987,7 @@ def test_each_run_wide_default_reads_its_owner(monkeypatch):
             return forward(*args, **kwargs)
         monkeypatch.setattr(module, name, record)
 
-    spy(serieslab.figures, "_dop853", 2)
+    spy(serieslab.integrators, "_dop853", 2)
     spy(serieslab.exact, "find_root_bracketed", 3)
     lv_closed_orbit(_Runner(load_preset("lv-orbit")).model)
     sir_endpoints(_Runner(load_preset("sir-slow")).model)

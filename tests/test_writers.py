@@ -413,12 +413,29 @@ def all_verbs():
             + [("report-all", ["report-all"])])
 
 
-def write_every_artifact(out: Path) -> dict[str, bytes]:
+def write_every_artifact(out: Path, *options: str) -> dict[str, bytes]:
     for directory, verb in all_verbs():
         with contextlib.redirect_stdout(io.StringIO()):
-            serieslab.cli.main([*verb, "--out", str(out / directory)])
+            serieslab.cli.main([*verb, "--out", str(out / directory), *options])
     return {p.relative_to(out).as_posix(): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_each_format_writes_its_share_of_the_both_files(tmp_path):
+    # svg writes the plots and the reports, csv every file but the plots,
+    # and each of their files is the one that both writes
+    written = {fmt: write_every_artifact(tmp_path / fmt, "--format", fmt)
+               for fmt in ("csv", "svg", "both")}
+    csv, svg, both = written["csv"], written["svg"], written["both"]
+    reports = {"report.txt", "report.csv", "report_all.txt", "report_all.csv"}
+    assert all(name.endswith(".svg") or Path(name).name in reports for name in svg)
+    assert not any(name.endswith(".svg") for name in csv)
+    for directory, _ in all_verbs():
+        assert any(name.startswith(f"{directory}/") and name.endswith(".svg")
+                   for name in svg)
+    assert csv.keys() | svg.keys() == both.keys()
+    for files in (csv, svg):
+        assert all(files[name] == both[name] for name in files)
 
 
 def test_every_artifact_matches_the_per_point_oracles(tmp_path, monkeypatch):
