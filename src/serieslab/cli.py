@@ -21,7 +21,7 @@ from pathlib import Path
 from .convergence import RATIO_WINDOW, estimate_radius, riccati_radius
 from .csvout import write_csv
 from .exact import sir_endpoints
-from .figures import FIGURE_IDS, reproduce_figure
+from .figures import FIGURE_IDS, FORMATS, reproduce_figure
 from .integrators import REFERENCE_TOL, TOL_RANGE
 from .models import build_riccati, make_model
 from .report import CSV_COLUMNS
@@ -55,7 +55,7 @@ def tolerance(text: str) -> float:
 def _add_common(parser, overrides=True):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--format", dest="fmt", default="both",
-                        choices=("csv", "svg", "both"),
+                        choices=FORMATS,
                         help="artifact formats to write")
     if overrides:  # a figure draws its preset as the preset stands
         parser.add_argument("--order", type=order, default=None,

@@ -4,7 +4,9 @@ Each figure draws one bundled preset (``_FIGURES``), contrasting its
 truncated power-series solution with ground truth on a window wide enough
 to expose the series failure: populations that go negative, a phase-plane
 curve that crosses itself (impossible for a true orbit), and epidemic
-curves that never reach the endpoint region.
+curves that never reach the endpoint region.  A builder returns its CSV
+tables and its plot; ``artifact_writer``, the one reader of ``--format``,
+writes them, for the figures and for ``scenario.run_scenario`` alike.
 """
 
 from __future__ import annotations
@@ -94,73 +96,56 @@ def _params(config, start: bool) -> str:
     return f"{rates}, start ({', '.join(f'{v:g}' for v in config.initial_state)})"
 
 
-def _fig1(runner, out_dir: Path, fmt: str) -> list[Path]:
+def _fig1(runner):
     # prey-predator populations against time; the series sends the prey
     # count negative within the window while the true count stays > 0
     config, grid = runner.config, runner.grid
     ser, ref = runner.series_tr, runner.reference_tr
     order = config.series_order
-    files = []
-    if fmt in ("csv", "both"):
-        files.append(write_csv(
-            out_dir / "fig1_populations.csv",
-            ["t", "x_exact", "y_exact", "x_series", "y_series"],
-            np.column_stack([grid, ref.states, ser.states]),
-            meta={
-                "figure": "prey and predator populations against time",
+    tables = [("fig1_populations.csv",
+               ["t", "x_exact", "y_exact", "x_series", "y_series"],
+               np.column_stack([grid, ref.states, ser.states]),
+               {"figure": "prey and predator populations against time",
                 "params": _params(config, start=True),
-                "series_order": order,
-            },
-        ))
-    if fmt in ("svg", "both"):
-        plot = LinePlot(f"Populations: truth against order-{order} series",
-                        "t", "population")
-        plot.add_curve(grid, ref.states[:, 0], "prey (exact)", "#1f77b4")
-        plot.add_curve(grid, ref.states[:, 1], "predator (exact)", "#2ca02c")
-        plot.add_curve(grid, ser.states[:, 0], "prey (series)", "#d62728", dash="6,3")
-        plot.add_curve(grid, ser.states[:, 1], "predator (series)", "#ff7f0e", dash="6,3")
-        plot.set_xlim(0.0, config.t_end)
-        plot.set_ylim(-12.0, 40.0)
-        files.append(plot.write(out_dir / "fig1_populations.svg"))
-    return files
+                "series_order": order})]
+    plot = LinePlot(f"Populations: truth against order-{order} series",
+                    "t", "population")
+    plot.add_curve(grid, ref.states[:, 0], "prey (exact)", "#1f77b4")
+    plot.add_curve(grid, ref.states[:, 1], "predator (exact)", "#2ca02c")
+    plot.add_curve(grid, ser.states[:, 0], "prey (series)", "#d62728", dash="6,3")
+    plot.add_curve(grid, ser.states[:, 1], "predator (series)", "#ff7f0e", dash="6,3")
+    plot.set_xlim(0.0, config.t_end)
+    plot.set_ylim(-12.0, 40.0)
+    return tables, ("fig1_populations.svg", plot)
 
 
-def _fig2(runner, out_dir: Path, fmt: str) -> list[Path]:
+def _fig2(runner):
     # phase plane: the true orbit is a closed curve; the series polyline
     # crosses itself, which no autonomous planar trajectory can do
     config, ser = runner.config, runner.series_tr
     period, orbit = runner.orbit
     params = _params(config, start=True)
     order = config.series_order
-    files = []
-    if fmt in ("csv", "both"):
-        files.append(write_csv(
-            out_dir / "fig2_orbit_exact.csv",
-            ["t", "x", "y"],
-            np.column_stack([orbit.times, orbit.states]),
-            meta={"figure": "closed phase-plane orbit (one period)",
-                  "params": params, "period": f"{period:.12g}"},
-        ))
-        files.append(write_csv(
-            out_dir / "fig2_orbit_series.csv",
-            ["t", "x", "y"],
-            np.column_stack([ser.times, ser.states]),
-            meta={"figure": f"order-{order} series curve in the phase plane",
-                  "params": params, "series_order": order},
-        ))
-    if fmt in ("svg", "both"):
-        plot = LinePlot("Phase plane: closed orbit against series curve", "prey x", "predator y")
-        plot.add_curve(orbit.states[:, 0], orbit.states[:, 1], "exact orbit", "#1f77b4")
-        plot.add_curve(ser.states[:, 0], ser.states[:, 1], f"order-{order} series",
-                       "#d62728", dash="6,3")
-        plot.set_xlim(-0.5, 6.0)
-        plot.set_ylim(-0.5, 7.0)
-        files.append(plot.write(out_dir / "fig2_phase_plane.svg"))
-    return files
+    tables = [
+        ("fig2_orbit_exact.csv", ["t", "x", "y"],
+         np.column_stack([orbit.times, orbit.states]),
+         {"figure": "closed phase-plane orbit (one period)",
+          "params": params, "period": f"{period:.12g}"}),
+        ("fig2_orbit_series.csv", ["t", "x", "y"],
+         np.column_stack([ser.times, ser.states]),
+         {"figure": f"order-{order} series curve in the phase plane",
+          "params": params, "series_order": order}),
+    ]
+    plot = LinePlot("Phase plane: closed orbit against series curve", "prey x", "predator y")
+    plot.add_curve(orbit.states[:, 0], orbit.states[:, 1], "exact orbit", "#1f77b4")
+    plot.add_curve(ser.states[:, 0], ser.states[:, 1], f"order-{order} series",
+                   "#d62728", dash="6,3")
+    plot.set_xlim(-0.5, 6.0)
+    plot.set_ylim(-0.5, 7.0)
+    return tables, ("fig2_phase_plane.svg", plot)
 
 
-def _epidemic_figure(stem: str, spread: str, runner, out_dir: Path,
-                     fmt: str) -> list[Path]:
+def _epidemic_figure(stem: str, spread: str, runner):
     config, model, ser = runner.config, runner.model, runner.series_tr
     ends = sir_endpoints(model)
     x0 = float(model.initial_state[0])
@@ -177,36 +162,55 @@ def _epidemic_figure(stem: str, spread: str, runner, out_dir: Path,
     title = (f"Epidemic curves, {spread} spread: truth against "
              f"order-{config.series_order} series")
     params = _params(config, start=False)
-    files = []
-    if fmt in ("csv", "both"):
-        files.append(write_csv(
-            out_dir / f"{stem}_series_vs_exact.csv",
-            ["x", "y_exact", "z_exact", "y_series", "z_series"],
-            np.column_stack([xs, y_at, z_at, ys, zs]),
-            meta={"figure": title, "params": params,
-                  "series_order": config.series_order,
-                  "note": "rows follow the series time grid; x is the series "
-                          "susceptible count, exact columns are evaluated at "
-                          "that x when it lies in (0, x0]"},
-        ))
-        files.append(write_csv(
-            out_dir / f"{stem}_exact_curves.csv",
-            ["x", "y_exact", "z_exact"],
-            np.column_stack([x_dense, y_exact, z_exact]),
-            meta={"figure": title + " (dense exact curves)", "params": params,
-                  "x_limit": f"{ends.x_limit:.9g}"},
-        ))
-    if fmt in ("svg", "both"):
-        plot = LinePlot(title, "susceptibles x", "count")
-        plot.add_curve(x_dense, y_exact, "infectives (exact)", "#1f77b4")
-        plot.add_curve(x_dense, z_exact, "removed (exact)", "#2ca02c")
-        plot.add_curve(xs, ys, "infectives (series)", "#d62728", dash="6,3")
-        plot.add_curve(xs, zs, "removed (series)", "#ff7f0e", dash="6,3")
-        top = max(float(np.max(y_exact)), float(np.max(z_exact)))
-        plot.set_xlim(0.0, 1.05 * x0)
-        plot.set_ylim(0.0, 1.25 * top)
-        files.append(plot.write(out_dir / f"{stem}_curves.svg"))
-    return files
+    tables = [
+        (f"{stem}_series_vs_exact.csv",
+         ["x", "y_exact", "z_exact", "y_series", "z_series"],
+         np.column_stack([xs, y_at, z_at, ys, zs]),
+         {"figure": title, "params": params,
+          "series_order": config.series_order,
+          "note": "rows follow the series time grid; x is the series "
+                  "susceptible count, exact columns are evaluated at "
+                  "that x when it lies in (0, x0]"}),
+        (f"{stem}_exact_curves.csv", ["x", "y_exact", "z_exact"],
+         np.column_stack([x_dense, y_exact, z_exact]),
+         {"figure": title + " (dense exact curves)", "params": params,
+          "x_limit": f"{ends.x_limit:.9g}"}),
+    ]
+    plot = LinePlot(title, "susceptibles x", "count")
+    plot.add_curve(x_dense, y_exact, "infectives (exact)", "#1f77b4")
+    plot.add_curve(x_dense, z_exact, "removed (exact)", "#2ca02c")
+    plot.add_curve(xs, ys, "infectives (series)", "#d62728", dash="6,3")
+    plot.add_curve(xs, zs, "removed (series)", "#ff7f0e", dash="6,3")
+    top = max(float(np.max(y_exact)), float(np.max(z_exact)))
+    plot.set_xlim(0.0, 1.05 * x0)
+    plot.set_ylim(0.0, 1.25 * top)
+    return tables, (f"{stem}_curves.svg", plot)
+
+
+#: the ``--format`` values: the tables, the plot, or both
+FORMATS = ("csv", "svg", "both")
+
+
+def artifact_writer(fmt: str):
+    """The one reader of ``--format``.  Returns ``write(directory, tables,
+    plot)``, which writes each ``(file name, columns, rows, meta)`` table
+    unless ``fmt`` is ``svg``, then the ``(file name, LinePlot)`` plot
+    unless it is ``csv``, and returns their paths in that order.  An
+    unknown ``fmt`` raises ValueError here, before anything is computed."""
+    if fmt not in FORMATS:
+        raise ValueError(f"fmt must be one of {', '.join(FORMATS)}")
+
+    def write(directory, tables, plot) -> list[Path]:
+        directory = Path(directory)
+        paths = [] if fmt == "svg" else [
+            write_csv(directory / name, columns, rows, meta)
+            for name, columns, rows, meta in tables]
+        if fmt != "csv":
+            name, lineplot = plot
+            paths.append(lineplot.write(directory / name))
+        return paths
+
+    return write
 
 
 #: each figure: the preset it draws, and its builder
@@ -223,7 +227,8 @@ FIGURE_IDS = tuple(_FIGURES)
 def reproduce_figure(fig_id: str, out_dir=".", fmt: str = "both") -> list[Path]:
     """Write the CSV data and SVG plot of one demonstration figure, drawn
     from the runs of its preset (``_FIGURES``) that the scenario runner
-    computes at the default reference tolerance.
+    computes at the default reference tolerance, and return the paths
+    ``artifact_writer`` wrote.
 
     ``fig1``: prey-predator populations against time (series goes negative).
     ``fig2``: phase plane, closed orbit against a self-crossing series curve.
@@ -231,12 +236,8 @@ def reproduce_figure(fig_id: str, out_dir=".", fmt: str = "both") -> list[Path]:
     """
     if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")
-    if fmt not in ("csv", "svg", "both"):
-        raise ValueError("fmt must be csv, svg or both")
+    write = artifact_writer(fmt)
     from .scenario import _Runner, load_preset  # scenario imports this module
 
     preset, build = _FIGURES[fig_id]
-    runner = _Runner(load_preset(preset))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return build(runner, out_dir, fmt)
+    return write(out_dir, *build(_Runner(load_preset(preset))))

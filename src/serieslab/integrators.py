@@ -23,7 +23,7 @@ from .models import ModelInstance
 from .series import (DIVERGENCE_LIMIT, SeriesSolution, _compile, eval_series,
                      taylor_path)
 
-PROVENANCES = ("series", "multistage", "reference", "exact")
+PROVENANCES = ("series", "multistage", "reference")
 
 
 class DivergenceError(ArithmeticError):

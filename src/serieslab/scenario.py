@@ -31,7 +31,6 @@ from .convergence import (
     riccati_radii,
     riccati_radius,
 )
-from .csvout import write_csv
 from .exact import (
     ENDPOINT_TOL,
     _lv_integral,
@@ -41,7 +40,7 @@ from .exact import (
     sir_endpoints,
     sir_y_of_x,
 )
-from .figures import polyline_self_intersects
+from .figures import artifact_writer, polyline_self_intersects
 from .integrators import (
     REFERENCE_TOL,
     lv_closed_orbit,
@@ -618,15 +617,14 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "both",
     """Execute one validated scenario and write its artifacts.
 
     Creates ``out_dir/<scenario name>/`` containing trajectory CSVs, an
-    overview SVG, and the report as text and CSV.  Numeric failures inside
-    any analysis become failed report rows; they never abort the run.
+    overview SVG (as ``fmt`` selects, through ``artifact_writer``), and the
+    report as text and CSV in every format.  Numeric failures inside any
+    analysis become failed report rows; they never abort the run.
     """
-    if fmt not in ("csv", "svg", "both"):
-        raise ValueError("fmt must be csv, svg or both")
+    write = artifact_writer(fmt)
     runner = _Runner(config, tol)
     report = runner.run()
     directory = Path(out_dir) / config.name
-    directory.mkdir(parents=True, exist_ok=True)
 
     def succeeded(run):
         # a failed run is left out: the rows that read it say why it failed
@@ -636,43 +634,35 @@ def run_scenario(config: ScenarioConfig, out_dir, fmt: str = "both",
             return None
 
     series, reference = succeeded("series_tr"), succeeded("reference_tr")
-
-    def traj_meta(tr):
-        return {"scenario": config.name, "model": config.model_name,
-                "provenance": tr.provenance, **tr.meta}
-
     columns = ["t", *runner.names]
-    if fmt in ("csv", "both"):
-        for tr, stem in ((series, "series"), (reference, "reference"),
-                         (succeeded("multistage_tr"), "multistage")):
-            if tr is not None:
-                write_csv(directory / f"{stem}.csv", columns,
-                          np.column_stack([tr.times, tr.states]), traj_meta(tr))
-        solution = succeeded("series_solution")
-        if solution is not None:
-            coeffs = np.vstack([c.coefficients for c in solution.components])
-            write_csv(
-                directory / "series_coefficients.csv",
-                ["k", *runner.names],
-                [(k, *coeffs[:, k]) for k in range(config.series_order + 1)],
-                meta={"scenario": config.name, "model": config.model_name,
-                      "order": config.series_order},
-            )
-    if fmt in ("svg", "both"):
-        plot = LinePlot(f"Scenario {config.name}", "t", "state")
-        for tr, stem, dash in ((reference, "reference", None),
-                               (series, "series", "6,3")):
-            if tr is not None:
-                for i, name in enumerate(runner.names):
-                    plot.add_curve(tr.times, tr.states[:, i],
-                                   f"{name} ({stem})", dash=dash)
-        if reference is not None:
-            finite = reference.states[np.isfinite(reference.states).all(axis=1)]
-            if finite.size:
-                lo = float(finite.min())
-                hi = float(finite.max())
-                pad = 0.15 * (hi - lo if hi > lo else 1.0)
-                plot.set_ylim(lo - pad, hi + pad)
-        plot.write(directory / "timeseries.svg")
+    tables = [(f"{stem}.csv", columns, np.column_stack([tr.times, tr.states]),
+               {"scenario": config.name, "model": config.model_name,
+                "provenance": tr.provenance, **tr.meta})
+              for tr, stem in ((series, "series"), (reference, "reference"),
+                               (succeeded("multistage_tr"), "multistage"))
+              if tr is not None]
+    solution = succeeded("series_solution")
+    if solution is not None:
+        coeffs = np.vstack([c.coefficients for c in solution.components])
+        tables.append((
+            "series_coefficients.csv", ["k", *runner.names],
+            [(k, *coeffs[:, k]) for k in range(config.series_order + 1)],
+            {"scenario": config.name, "model": config.model_name,
+             "order": config.series_order}))
+    plot = LinePlot(f"Scenario {config.name}", "t", "state")
+    for tr, stem, dash in ((reference, "reference", None),
+                           (series, "series", "6,3")):
+        if tr is not None:
+            for i, name in enumerate(runner.names):
+                plot.add_curve(tr.times, tr.states[:, i],
+                               f"{name} ({stem})", dash=dash)
+    if reference is not None:
+        finite = reference.states[np.isfinite(reference.states).all(axis=1)]
+        if finite.size:
+            lo = float(finite.min())
+            hi = float(finite.max())
+            pad = 0.15 * (hi - lo if hi > lo else 1.0)
+            plot.set_ylim(lo - pad, hi + pad)
+    write(directory, tables, ("timeseries.svg", plot))
     report.write(directory)
     return report

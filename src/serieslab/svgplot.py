@@ -201,5 +201,6 @@ class LinePlot:
 
     def write(self, path) -> Path:
         path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.render(), encoding="utf-8")
         return path

@@ -365,3 +365,49 @@ def test_reproduce_figure_rejects_unknown():
         reproduce_figure("fig9", ".")
     with pytest.raises(ValueError):
         reproduce_figure("fig1", ".", fmt="png")
+
+
+#: the files of each figure, in the order they are written: the builder's
+#: CSVs, then its SVG
+FIGURE_FILES = {
+    "fig1": (["fig1_populations.csv"], "fig1_populations.svg"),
+    "fig2": (["fig2_orbit_exact.csv", "fig2_orbit_series.csv"],
+             "fig2_phase_plane.svg"),
+    "fig3": (["fig3_series_vs_exact.csv", "fig3_exact_curves.csv"],
+             "fig3_curves.svg"),
+    "fig4": (["fig4_series_vs_exact.csv", "fig4_exact_curves.csv"],
+             "fig4_curves.svg"),
+}
+
+
+@pytest.mark.parametrize("fig_id", FIGURE_IDS)
+def test_figure_paths_come_in_written_order(fig_id, tmp_path, capsys):
+    tables, plot = FIGURE_FILES[fig_id]
+    for fmt, names in (("csv", tables), ("svg", [plot]),
+                       ("both", [*tables, plot])):
+        out = tmp_path / fmt
+        paths = reproduce_figure(fig_id, out, fmt=fmt)
+        assert paths == [out / name for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    # `serieslab figure` prints the paths reproduce_figure returns
+    out = tmp_path / "cli"
+    assert main(["figure", fig_id, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        str(out / name) for name in [*tables, plot]]
+
+
+def test_an_unknown_format_is_rejected_before_any_run(tmp_path, monkeypatch):
+    calls = []
+    solve = serieslab.scenario.reference_integrate
+    monkeypatch.setattr(serieslab.scenario, "reference_integrate",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="fmt must be one of csv, svg, both"):
+        run_scenario(load_preset("lv-crash"), out, fmt="png")
+    with pytest.raises(ValueError, match="fmt must be one of csv, svg, both"):
+        reproduce_figure("fig1", out, fmt="png")
+    assert calls == []
+    assert not out.exists()
+    # the same solve runs once a format is known
+    reproduce_figure("fig1", out, fmt="csv")
+    assert calls == [1]

@@ -64,6 +64,13 @@ def test_trajectory_validation():
         tr.times[0] = 5.0
 
 
+def test_trajectory_provenance_names_a_producer():
+    # a trajectory comes from a series, a multistage path or a reference
+    # solve; closed forms are evaluated where they are compared
+    with pytest.raises(ValueError, match="unknown provenance 'exact'"):
+        Trajectory(np.array([0.0, 1.0]), np.zeros((2, 1)), "exact")
+
+
 # -- piecewise series stepping ---------------------------------------------------
 
 def test_multistage_reaches_stationary_state():

@@ -222,6 +222,15 @@ def test_render_matches_per_point_oracle(xlim, ylim):
     assert plot.render() == oracle_render(plot)
 
 
+def test_plot_write_creates_its_directory(tmp_path):
+    # as write_csv and ComparisonReport.write do
+    plot = LinePlot("nested", "x", "y")
+    plot.add_curve([0.0, 1.0], [1.0, 0.0], "line")
+    path = plot.write(tmp_path / "new" / "sub" / "x.svg")
+    assert path == tmp_path / "new" / "sub" / "x.svg"
+    assert path.read_text(encoding="utf-8") == plot.render()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_render_matches_per_point_oracle_on_huge_values():
     plot = LinePlot("huge", "x", "y")
@@ -440,8 +449,7 @@ def test_each_format_writes_its_share_of_the_both_files(tmp_path):
 
 def test_every_artifact_matches_the_per_point_oracles(tmp_path, monkeypatch):
     shipped = write_every_artifact(tmp_path / "shipped")
-    for module in (serieslab.cli, serieslab.scenario, serieslab.figures,
-                   serieslab.report):
+    for module in (serieslab.cli, serieslab.figures, serieslab.report):
         monkeypatch.setattr(module, "write_csv", oracle_write_csv)
     monkeypatch.setattr(serieslab.report, "format_cell", oracle_format_cell)
     monkeypatch.setattr(LinePlot, "render", oracle_render)
