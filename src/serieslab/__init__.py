@@ -44,9 +44,7 @@ from .models import (
     ModelSpec,
     Monomial,
     PolynomialVectorField,
-    build_lotka_volterra,
     build_riccati,
-    build_sir,
     make_model,
 )
 from .report import ComparisonReport, ReportRow

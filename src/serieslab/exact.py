@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convergence import _stationary_gaps, _start_log_z
-from .models import (SQRT2, RICCATI_STATIONARY, RICCATI_STATIONARY_ERROR,
+from .models import (MODELS, SQRT2, RICCATI_STATIONARY, RICCATI_STATIONARY_ERROR,
                      ModelInstance)
 
 
@@ -113,8 +113,8 @@ def _lv_integral(log_x, log_y, x, y, a, b, c, d) -> float:
 
 
 def _sir_data(model: ModelInstance):
-    # a ModelInstance labelled sir holds exactly the rates beta and gamma
-    if model.label != "sir":
+    # an sir ModelInstance holds exactly the rates beta and gamma
+    if model.spec is not MODELS["sir"]:
         raise ValueError("expected an sir model instance")
     x0, y0, z0 = (float(v) for v in model.initial_state)
     return model.params["beta"], model.params["gamma"], x0, y0, z0

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import ModelInstance
+from .models import MODELS, ModelInstance
 from .series import (DIVERGENCE_LIMIT, SeriesSolution, _compile, eval_series,
                      taylor_path)
 
@@ -428,7 +428,7 @@ def lv_closed_orbit(model: ModelInstance) -> tuple[float, Trajectory]:
     level y = a/b, which every orbit crosses once per period; its dense
     output gives the orbit, with w as its ``log_states``.
     """
-    if model.label != "lotka_volterra":
+    if model.spec is not MODELS["lotka_volterra"]:
         raise ValueError("expected a lotka_volterra model instance")
     params = model.params
     level = params["a"] / params["b"]

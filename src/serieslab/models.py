@@ -189,55 +189,11 @@ class PolynomialVectorField:
 
 
 @dataclass(frozen=True)
-class ModelInstance:
-    """A vector field bundled with named parameters and an initial state."""
-
-    field: PolynomialVectorField
-    params: dict[str, float]
-    initial_state: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        # a copy: freezing the caller's own array would freeze it for them
-        state = np.array(self.initial_state, dtype=float)
-        state.flags.writeable = False
-        object.__setattr__(self, "initial_state", state)
-        object.__setattr__(self, "params", dict(self.params))
-        if state.shape != (self.field.dimension,):
-            raise ValueError("initial state length must equal the field dimension")
-        values = state.tolist()
-        if not all(map(math.isfinite, values)):
-            raise ValueError("initial state must be finite")
-        spec = MODELS.get(self.label)
-        problems = spec.problems(self.params, values) if spec else []
-        if problems:
-            raise ValueError("; ".join(problems))
-
-
-def build_riccati(y0: float) -> ModelInstance:
-    """Scalar model dY/dt = 1 + 2Y - Y^2 started at Y(0) = y0."""
-    return make_model("riccati", {}, [float(y0)])
-
-
-def build_lotka_volterra(a: float, b: float, c: float, d: float) -> PolynomialVectorField:
-    """Predator-prey field dx/dt = ax - bxy, dy/dt = -cy + dxy of the prey
-    x and the predator y; the four rates must be finite and positive."""
-    return MODELS["lotka_volterra"].field(dict(a=a, b=b, c=c, d=d))
-
-
-def build_sir(beta: float, gamma: float) -> PolynomialVectorField:
-    """Epidemic field dx/dt = -bxy, dy/dt = bxy - gy, dz/dt = gy of the
-    susceptible, infective and removed counts x, y, z.  The three
-    right-hand sides sum to zero, so the total population is conserved."""
-    return MODELS["sir"].field(dict(beta=beta, gamma=gamma))
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Everything a scenario needs to know about one model family."""
 
     name: str
-    params: tuple[str, ...]       # rate names, in the build_* argument order
+    params: tuple[str, ...]       # rate names
     components: tuple[str, ...]   # state names, one per dimension
     populations: bool             # components are counts: starts are non-negative
     #: each equation's monomials as (factor, rate name or None, exponents),
@@ -247,7 +203,9 @@ class ModelSpec:
     def problems(self, params, state) -> list[str]:
         """Every way the rates ``params`` (by name) and the start ``state``
         break this family's rules, as ``field: message`` strings, the
-        start's first; a value of None (one that did not parse) is not judged."""
+        start's first; a value of None (one that did not parse) is not judged.
+        Each rate must be given, and be finite and positive, and no other
+        name may be."""
         out = []
         dim = len(self.components)
         if len(state) != dim:
@@ -255,39 +213,72 @@ class ModelSpec:
                        f"for {self.name}, got {len(state)}")
         elif self.populations and any(v is not None and v < 0 for v in state):
             out.append("initial_state: components must be non-negative")
-        return out + self.rate_problems(params)
-
-    def rate_problems(self, params) -> list[str]:
-        """The rate part of ``problems``: each rate must be given, and be
-        finite and positive, and no other name may be."""
         names = set(self.params)
-        out = [] if params.keys() == names else (
-            [f"params.{k}: required for {self.name}" for k in sorted(names - params.keys())]
-            + [f"params.{k}: unknown parameter for {self.name}"
-               for k in sorted(params.keys() - names)])
+        if params.keys() != names:
+            out += [f"params.{k}: required for {self.name}"
+                    for k in sorted(names - params.keys())]
+            out += [f"params.{k}: unknown parameter for {self.name}"
+                    for k in sorted(params.keys() - names)]
         # NaN fails both comparisons
         return out + [f"params.{k}: must be positive" for k in sorted(names)
                       if params.get(k) is not None and not 0.0 < params[k] < math.inf]
 
-    def field(self, params) -> PolynomialVectorField:
-        """This family's field at the rates ``params``, each coefficient a rate's
-        float or its negation, exactly; a ValueError states their ``rate_problems``."""
-        problems = self.rate_problems(params)
+
+@dataclass(frozen=True)
+class ModelInstance:
+    """A model family's row at fixed rates and a fixed start.
+
+    ``field`` is built here from ``spec.equations`` at ``params``, each
+    coefficient a rate's float or its negation, exactly, so it cannot
+    disagree with the rates that other code reads.
+    """
+
+    spec: ModelSpec
+    params: dict[str, float]
+    initial_state: np.ndarray
+
+    def __post_init__(self):
+        # a copy: freezing the caller's own array would freeze it for them
+        state = np.array(self.initial_state, dtype=float)
+        state.flags.writeable = False
+        params = dict(self.params)
+        object.__setattr__(self, "initial_state", state)
+        object.__setattr__(self, "params", params)
+        spec = self.spec
+        problems = spec.problems(params, state.ravel().tolist())
         if problems:
             raise ValueError("; ".join(problems))
-        return PolynomialVectorField(len(self.components), tuple(
+        if state.shape != (len(spec.components),):
+            raise ValueError("initial state length must equal the field dimension")
+        if not all(map(math.isfinite, state.tolist())):
+            raise ValueError("initial state must be finite")
+        field = PolynomialVectorField(len(spec.components), tuple(
             tuple(Monomial(factor if rate is None else factor * params[rate], exponents)
-                  for factor, rate, exponents in eq) for eq in self.equations))
+                  for factor, rate, exponents in eq) for eq in spec.equations))
+        object.__setattr__(self, "field", field)
+
+    @property
+    def label(self) -> str:
+        return self.spec.name
+
+
+def build_riccati(y0: float) -> ModelInstance:
+    """Scalar model dY/dt = 1 + 2Y - Y^2 started at Y(0) = y0."""
+    return make_model("riccati", {}, [float(y0)])
 
 
 MODELS = {spec.name: spec for spec in (
+    # dy/dt = 1 + 2y - y^2
     ModelSpec("riccati", (), ("y",), False, (
         ((1.0, None, (0,)), (2.0, None, (1,)), (-1.0, None, (2,))),
     )),
+    # prey x, predator y: dx/dt = ax - bxy, dy/dt = -cy + dxy
     ModelSpec("lotka_volterra", ("a", "b", "c", "d"), ("x", "y"), True, (
         ((1.0, "a", (1, 0)), (-1.0, "b", (1, 1))),
         ((-1.0, "c", (0, 1)), (1.0, "d", (1, 1))),
     )),
+    # susceptible, infective, removed: dx/dt = -bxy, dy/dt = bxy - gy,
+    # dz/dt = gy, whose sum is zero, so the total population is conserved
     ModelSpec("sir", ("beta", "gamma"), ("x", "y", "z"), True, (
         ((-1.0, "beta", (1, 1, 0)),),
         ((1.0, "beta", (1, 1, 0)), (-1.0, "gamma", (0, 1, 0))),
@@ -306,8 +297,4 @@ def make_model(name: str, params: dict[str, float], initial_state) -> ModelInsta
     spec = MODELS.get(name)
     if spec is None:
         raise ValueError(f"unknown model name: {name!r}")
-    state = np.asarray(initial_state, dtype=float)
-    problems = spec.problems(params, state.ravel().tolist())
-    if problems:
-        raise ValueError("; ".join(problems))
-    return ModelInstance(spec.field(params), params, state, name)
+    return ModelInstance(spec, params, initial_state)

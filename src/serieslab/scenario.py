@@ -283,7 +283,7 @@ class _Runner:
         self.tol = tol
         self.model = make_model(config.model_name, config.params,
                                 config.initial_state)
-        self.names = MODELS[config.model_name].components
+        self.names = self.model.spec.components
         self.grid = np.linspace(0.0, config.t_end, config.samples)
         self.refs = {rv.quantity: rv for rv in config.references}
         self.rows: list[ReportRow] = []
@@ -493,7 +493,10 @@ class _Runner:
             violation = max(violation, abs(
                 lv_conserved(float(x), float(y), *rates) - h0))
         return [
-            threshold_row("conserved_drift_reference", drift, 1e-6,
+            # c ln x + a ln y - d x - b y, and so its rounding and the solve's
+            # error, grow with a and c (d x and b y are c and a at the center)
+            threshold_row("conserved_drift_reference", drift,
+                          1e-6 * max(1.0, p["a"], p["c"]),
                           "first integral along the reference trajectory"),
             threshold_row("conserved_violation_series", violation, 1.0,
                           "series points abandon the conserved curve", "above"),

@@ -20,8 +20,7 @@ from serieslab.integrators import (
 )
 from serieslab.models import (
     ModelInstance,
-    Monomial,
-    PolynomialVectorField,
+    ModelSpec,
     build_riccati,
     make_model,
 )
@@ -43,6 +42,14 @@ def lv_case_v():
 
 def sir_slow():
     return make_model("sir", dict(beta=0.01, gamma=0.02), [20.0, 15.0, 10.0])
+
+
+def rate_free_model(name, equations, start):
+    """A model of an unregistered family whose monomials, given as
+    (coefficient, exponents) pairs, carry no rate."""
+    spec = ModelSpec(name, (), tuple(f"u{i}" for i in range(len(equations))), False,
+                     tuple(tuple((c, None, e) for c, e in eq) for eq in equations))
+    return ModelInstance(spec, {}, start)
 
 
 # -- trajectory container ------------------------------------------------------
@@ -342,9 +349,9 @@ def test_a_solve_in_u_keeps_no_log_states(model):
 
 def test_log_path_blow_up_raises_integration_error():
     # u' = u^2 from 1 is in Kolmogorov form (w' = e^w) and has its pole at t = 1
-    field = PolynomialVectorField(1, ((Monomial(1.0, (2,)),),))
+    model = rate_free_model("test", (((1.0, (2,)),),), [1.0])
     with pytest.raises(IntegrationError, match="escaped the divergence limit") as info:
-        reference_integrate(ModelInstance(field, {}, [1.0], "test"), 2.0, 1e-10)
+        reference_integrate(model, 2.0, 1e-10)
     assert 0.99 < info.value.last_time <= 1.0
 
 
@@ -363,26 +370,26 @@ def test_log_path_overflowing_trial_stage_is_rejected(monkeypatch):
             raise
 
     monkeypatch.setattr(math, "exp", counted)
-    field = PolynomialVectorField(1, ((Monomial(1e8, (2,)),),))
+    model = rate_free_model("test", (((1e8, (2,)),),), [1.0])
     with pytest.raises(IntegrationError, match="escaped the divergence limit"):
-        reference_integrate(ModelInstance(field, {}, [1.0], "test"), 2e-8, 1e-10)
+        reference_integrate(model, 2e-8, 1e-10)
     assert overflows
 
 
 @pytest.mark.parametrize("terms, in_logs", [
-    ((Monomial(1e5, (9,)),), True),                         # u' = 1e5 u^9
-    ((Monomial(1.0, (0,)), Monomial(1e5, (9,))), False),    # u' = 1 + 1e5 u^9
+    (((1e5, (9,)),), True),                     # u' = 1e5 u^9
+    (((1.0, (0,)), (1e5, (9,))), False),        # u' = 1 + 1e5 u^9
 ], ids=["log-path", "u-path"])
 def test_overflowing_field_raises_integration_error_and_no_warning(terms, in_logs):
     # the field overflows to inf inside scipy's step; numpy's warnings about
     # the inf and NaN that follow stay inside the solve
-    field = PolynomialVectorField(1, (terms,))
-    assert (field.per_capita is not None) == in_logs
+    model = rate_free_model("test", (terms,), [1.0])
+    assert (model.field.per_capita is not None) == in_logs
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError):
-            reference_integrate(ModelInstance(field, {}, [1.0], "test"), 2e-5, 1e-10)
+            reference_integrate(model, 2e-5, 1e-10)
     assert np.geterr() == before
 
 
@@ -615,12 +622,10 @@ def reference_stages(model, order, step, t_end):
 def cubic_model(start=(0.3, -0.2)):
     """Constant terms, cubic chains and a zero coefficient (0.0 * x*y adds
     -0.0 whenever x*y < 0)."""
-    field = PolynomialVectorField(2, (
-        (Monomial(0.5, (0, 0)), Monomial(-0.2, (3, 0)), Monomial(0.0, (1, 1)),
-         Monomial(0.3, (0, 1))),
-        (Monomial(-0.4, (0, 0)), Monomial(0.7, (1, 2)), Monomial(-1.1, (0, 1))),
-    ))
-    return ModelInstance(field, {}, np.array(start), "cubic")
+    return rate_free_model("cubic", (
+        ((0.5, (0, 0)), (-0.2, (3, 0)), (0.0, (1, 1)), (0.3, (0, 1))),
+        ((-0.4, (0, 0)), (0.7, (1, 2)), (-1.1, (0, 1))),
+    ), np.array(start))
 
 
 # orders 2-13: the compiled stage loop up to KERNEL_MAX_ORDER, the loop over
@@ -729,9 +734,8 @@ def test_stage_from_a_negative_zero_state():
 def scaled_quadratic(start, cubic):
     """u' = 1e30 u^2 (- 1e20 u^3): from start 2.8e-26 the first stage
     lands near 1e10, and the second overflows."""
-    monos = [Monomial(1e30, (2,))] + ([Monomial(-1e20, (3,))] if cubic else [])
-    return ModelInstance(PolynomialVectorField(1, (tuple(monos),)), {},
-                         np.array([start]), "scaled")
+    monos = ((1e30, (2,)),) + (((-1e20, (3,)),) if cubic else ())
+    return rate_free_model("scaled", (monos,), np.array([start]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

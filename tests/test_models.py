@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,20 @@ from serieslab.models import (
     MODELS,
     RICCATI_STATIONARY,
     ModelInstance,
+    ModelSpec,
     Monomial,
     PolynomialVectorField,
-    build_lotka_volterra,
     build_riccati,
-    build_sir,
     make_model,
 )
+
+
+def lv_field(a, b, c, d):
+    return make_model("lotka_volterra", dict(a=a, b=b, c=c, d=d), [1.0, 1.0]).field
+
+
+def sir_field(beta, gamma):
+    return make_model("sir", dict(beta=beta, gamma=gamma), [1.0, 1.0, 1.0]).field
 
 
 def test_riccati_field_monomials():
@@ -58,21 +66,21 @@ def test_riccati_rejects_non_finite():
 
 
 def test_lv_field_case_one_values():
-    field = build_lotka_volterra(1, 1, 0.1, 1)
+    field = lv_field(1, 1, 0.1, 1)
     out = field.evaluate([14.0, 18.0])
     assert np.allclose(out, [14 * (1 - 18), -18 * (0.1 - 14)], rtol=0, atol=1e-12)
 
 
 def test_lv_center_and_saddle_annihilate_field():
     a, b, c, d = 1.0, 1.0, 0.1, 1.0
-    field = build_lotka_volterra(a, b, c, d)
+    field = lv_field(a, b, c, d)
     # the saddle at the origin and the center at (c/d, a/b)
     for p in ((0.0, 0.0), (c / d, a / b)):
         assert np.max(np.abs(field.evaluate(p))) < 1e-12
 
 
 def test_lv_case_five_evaluation():
-    field = build_lotka_volterra(1, 1, 1, 1)
+    field = lv_field(1, 1, 1, 1)
     assert np.allclose(field.evaluate([3.0, 2.0]), [-3.0, 4.0], atol=1e-14)
     assert np.array_equal(field.evaluate([1.0, 1.0]), [0.0, 0.0])
 
@@ -80,25 +88,25 @@ def test_lv_case_five_evaluation():
 def test_lv_rejects_non_positive_parameters():
     for bad in ((0, 1, 1, 1), (1, -2, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
         with pytest.raises(ValueError):
-            build_lotka_volterra(*bad)
+            lv_field(*bad)
 
 
 def test_sir_field_values():
-    field = build_sir(0.01, 0.02)
+    field = sir_field(0.01, 0.02)
     out = field.evaluate([20.0, 15.0, 10.0])
     assert np.allclose(out, [-3.0, 3.0 - 0.3, 0.3], atol=1e-12)
-    unit = build_sir(1.0, 1.0)
+    unit = sir_field(1.0, 1.0)
     assert np.allclose(unit.evaluate([20.0, 4.0, 10.0]), [-80.0, 76.0, 4.0], atol=1e-12)
 
 
 def test_sir_no_infectives_means_no_motion():
-    field = build_sir(0.7, 0.3)
+    field = sir_field(0.7, 0.3)
     assert np.all(field.evaluate([42.0, 0.0, 3.0]) == 0.0)
 
 
 def test_sir_derivatives_sum_to_zero_bitwise():
     rng = np.random.default_rng(42)
-    field = build_sir(0.01, 0.02)
+    field = sir_field(0.01, 0.02)
     for _ in range(200):
         x, y, z = rng.uniform(0.0, 100.0, size=3)
         out = field.evaluate([x, y, z])
@@ -110,13 +118,13 @@ def test_sir_derivatives_sum_to_zero_bitwise():
 
 def test_sir_rejects_non_positive_parameters():
     with pytest.raises(ValueError):
-        build_sir(0.0, 1.0)
+        sir_field(0.0, 1.0)
     with pytest.raises(ValueError):
-        build_sir(1.0, -1.0)
+        sir_field(1.0, -1.0)
 
 
 def test_evaluate_dimension_mismatch():
-    field = build_sir(1.0, 1.0)
+    field = sir_field(1.0, 1.0)
     with pytest.raises(ValueError):
         field.evaluate([1.0, 2.0])
 
@@ -165,16 +173,49 @@ def test_field_shape_validation():
 
 
 def test_model_instance_validation():
-    field = build_sir(1.0, 1.0)
+    spec = MODELS["sir"]
     with pytest.raises(ValueError):
-        ModelInstance(field, {"beta": 1.0, "gamma": 1.0}, [1.0, 2.0], "sir")
+        ModelInstance(spec, {"beta": 1.0, "gamma": 1.0}, [1.0, 2.0])
     with pytest.raises(ValueError):
-        ModelInstance(field, {"beta": 1.0, "gamma": 1.0}, [-1.0, 2.0, 3.0], "sir")
+        ModelInstance(spec, {"beta": 1.0, "gamma": 1.0}, [-1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        ModelInstance(field, {"beta": 0.0, "gamma": 1.0}, [1.0, 2.0, 3.0], "sir")
-    model = ModelInstance(field, {"beta": 1.0, "gamma": 1.0}, [1.0, 2.0, 3.0], "sir")
+        ModelInstance(spec, {"beta": 0.0, "gamma": 1.0}, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="length must equal the field dimension"):
+        ModelInstance(spec, {"beta": 1.0, "gamma": 1.0}, [[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="must be finite"):
+        ModelInstance(spec, {"beta": 1.0, "gamma": 1.0}, [1.0, math.nan, 3.0])
+    model = ModelInstance(spec, {"beta": 1.0, "gamma": 1.0}, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         model.initial_state[0] = 9.0
+
+
+def test_model_instance_takes_no_field():
+    # the field is built from the family's row at the rates, so no argument
+    # can hand it one that disagrees with the rates other code reads
+    assert [f.name for f in dataclasses.fields(ModelInstance)] == [
+        "spec", "params", "initial_state"]
+    rates = {"beta": 2.0, "gamma": 5.0}
+    with pytest.raises(TypeError):
+        ModelInstance(sir_field(1.0, 1.0), rates, [20.0, 4.0, 10.0], "sir")
+    model = ModelInstance(MODELS["sir"], rates, [20.0, 4.0, 10.0])
+    assert model.label == "sir" and model.spec is MODELS["sir"]
+    assert model.field == handwritten_field("sir", rates)
+    with pytest.raises(AttributeError):
+        model.label = "lotka_volterra"
+
+
+def test_make_model_checks_the_rules_once(monkeypatch):
+    calls = []
+    problems = ModelSpec.problems
+
+    def counted(spec, params, state):
+        calls.append(spec.name)
+        return problems(spec, params, state)
+
+    monkeypatch.setattr(ModelSpec, "problems", counted)
+    for name, spec in MODELS.items():
+        make_model(name, {p: 1.0 for p in spec.params}, [1.0] * len(spec.components))
+    assert calls == list(MODELS)
 
 
 def test_model_instance_copies_its_start():
@@ -210,7 +251,8 @@ def test_model_specs_drive_make_model():
         model = make_model(name, params, start)
         assert model.label == name
         assert model.field.dimension == len(spec.components)
-        assert model.field == spec.field(params)
+        assert model.spec is spec
+        assert model.field == handwritten_field(name, params)
         negative = [-1.0] + start[1:]
         if spec.populations:
             with pytest.raises(ValueError, match="non-negative"):
@@ -218,7 +260,7 @@ def test_model_specs_drive_make_model():
         else:
             assert make_model(name, params, negative).initial_state[0] == -1.0
     riccati = build_riccati(0.5)
-    assert riccati.field == MODELS["riccati"].field({})
+    assert riccati.field == handwritten_field("riccati", {})
     assert (riccati.label, riccati.params, riccati.initial_state.tolist()) == (
         "riccati", {}, [0.5])
 
@@ -255,22 +297,14 @@ def test_each_family_field_is_its_handwritten_monomials(seed):
                        2**53 + 1, 10**300, 1e-300, 1e300]
             rates = {k: choices[int(rng.integers(len(choices)))] for k in spec.params}
             want = handwritten_field(name, rates)
-            got = [spec.field(rates), make_model(name, rates, start).field]
-            if name == "lotka_volterra":
-                got.append(build_lotka_volterra(*(rates[k] for k in "abcd")))
-            elif name == "sir":
-                got.append(build_sir(rates["beta"], rates["gamma"]))
-            for field in got:
-                assert field == want
-                assert coefficient_bits(field) == coefficient_bits(want)
+            field = make_model(name, rates, start).field
+            assert field == want
+            assert coefficient_bits(field) == coefficient_bits(want)
 
 
 @pytest.mark.parametrize("bad", [0, -1.0, math.inf, math.nan, "missing", "unknown"])
 def test_every_field_builder_raises_the_problems_text(bad):
-    builders = {"riccati": None, "lotka_volterra": build_lotka_volterra,
-                "sir": build_sir}
-    for name, build in builders.items():
-        spec = MODELS[name]
+    for name, spec in MODELS.items():
         rates = {p: 1.0 + i for i, p in enumerate(spec.params)}
         if bad == "unknown":
             rates["k"] = 1.0
@@ -280,19 +314,18 @@ def test_every_field_builder_raises_the_problems_text(bad):
             del rates[spec.params[0]]
         else:
             rates[spec.params[-1]] = bad
-        text = "; ".join(spec.problems(rates, [1.0] * len(spec.components)))
+        start = [1.0] * len(spec.components)
+        text = "; ".join(spec.problems(rates, start))
         assert text.startswith("params.")
-        calls = [lambda: spec.field(rates)]
-        if build is not None and rates.keys() == set(spec.params):
-            calls.append(lambda: build(*(rates[p] for p in spec.params)))
-        for call in calls:
+        for call in (lambda: make_model(name, rates, start),
+                     lambda: ModelInstance(spec, rates, start)):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == text
 
 
 def test_per_capita_field_of_the_kolmogorov_form():
-    field = build_lotka_volterra(1.0, 2.0, 3.0, 4.0)
+    field = lv_field(1.0, 2.0, 3.0, 4.0)
     rates = field.per_capita
     assert rates == PolynomialVectorField(2, (
         (Monomial(1.0, (0, 0)), Monomial(-2.0, (0, 1))),
@@ -304,6 +337,6 @@ def test_per_capita_field_of_the_kolmogorov_form():
                        rtol=0.0, atol=1e-14)
     # a constant term, or dz/dt = gamma*y with no factor z, breaks the form
     assert build_riccati(0.0).field.per_capita is None
-    assert build_sir(1.0, 1.0).per_capita is None
+    assert sir_field(1.0, 1.0).per_capita is None
     cubic = PolynomialVectorField(1, ((Monomial(2.0, (3,)),),))
     assert cubic.per_capita == PolynomialVectorField(1, ((Monomial(2.0, (2,)),),))

@@ -171,11 +171,9 @@ def test_one_statement_of_each_model_rule(name, params, start):
     with pytest.raises(ValueError) as info:
         make_model(name, params, start)
     assert str(info.value) == "; ".join(problems)
-    field = spec.field({p: 1.0 + i for i, p in enumerate(spec.params)})
     with pytest.raises(ValueError) as info:
-        ModelInstance(field, params, start, name)
-    if len(start) == field.dimension:
-        assert str(info.value) == "; ".join(problems)
+        ModelInstance(spec, params, start)
+    assert str(info.value) == "; ".join(problems)
 
 
 def test_model_rules_skip_unparsed_values():
@@ -549,6 +547,25 @@ def test_deep_decay_reference_stays_positive(t_end, tmp_path):
                           "reference_stays_positive"]
     assert rows["reference_stays_positive"].computed is True
     assert all(row.passed for row in report.rows)
+
+
+def test_conserved_drift_bound_scales_with_the_rates(tmp_path):
+    # c ln x + a ln y - d x - b y grows with a and c, and so do its rounding
+    # and the solve's error: the drift over a + c stays near 1e-10 from
+    # rates of 1e-2 to 1e4, while an absolute 1e-6 failed this accurate solve
+    text = (DEEP_DECAY_LV.replace("initial_state = 1, 300", "initial_state = 3, 2")
+            .replace("a = 1\nb = 1\nc = 0.01\nd = 1",
+                     "a = 1e4\nb = 1e-4\nc = 1e3\nd = 1e-3")
+            .replace("t_end = 2.0", "t_end = 0.01"))
+    report = run_scenario(validate_config(text), tmp_path, fmt="csv")
+    drift = report.rows[0]
+    assert drift.quantity == "conserved_drift_reference"
+    assert 1e-6 < drift.computed < 1e-9 * (1e4 + 1e3)
+    assert drift.criterion == "computed <= 0.01"
+    assert all(row.passed for row in report.rows)
+    # rates of 1 or below keep the absolute bound
+    slow = run_scenario(validate_config(DEEP_DECAY_LV), tmp_path, fmt="csv")
+    assert slow.rows[0].criterion == "computed <= 1e-06"
 
 
 DIVERGING_RICCATI = """\
