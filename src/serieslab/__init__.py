@@ -5,7 +5,6 @@ where truncated series fail and how piecewise restarts repair them."""
 from .convergence import (
     MULTISTAGE_RADIUS_FLOOR,
     NotEstimableError,
-    RadiusMethod,
     RadiusReport,
     estimate_radius,
     riccati_radii,

@@ -18,7 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .convergence import RATIO_WINDOW, estimate_radius, riccati_radius
+from .convergence import (MULTISTAGE_RADIUS_FLOOR, RATIO_WINDOW, estimate_radius,
+                          riccati_radius)
 from .csvout import write_csv
 from .exact import sir_endpoints
 from .figures import FIGURE_IDS, FORMATS, reproduce_figure
@@ -182,7 +183,6 @@ def cmd_radius(args) -> int:
         # series overflows fails with "coefficients must be finite"
         print(f"ratio-test estimate unavailable: {exc}")
     if args.y0 == 0.0:
-        from .convergence import MULTISTAGE_RADIUS_FLOOR
         print(f"restart radius floor: {MULTISTAGE_RADIUS_FLOOR:.6g} "
               "(restart steps must stay well below this)")
     return 0

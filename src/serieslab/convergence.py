@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,21 +30,15 @@ NEAR_STATIONARY = 1.0 / 16.0
 RATIO_WINDOW = 8
 
 
-class RadiusMethod(str, Enum):
-    EXACT_RICCATI = "exact_riccati"
-    RATIO_ESTIMATE = "ratio_estimate"
-
-
 class NotEstimableError(ValueError):
     """Raised when a coefficient tail is too degenerate for a ratio test."""
 
 
 @dataclass(frozen=True)
 class RadiusReport:
-    """A convergence radius, how it was obtained, and a short note."""
+    """A convergence radius and a short note on how it was obtained."""
 
     radius: float
-    method: RadiusMethod
     detail: str = ""
 
     def __post_init__(self):
@@ -102,23 +95,16 @@ def _start_log_z(y0: float) -> tuple[float, float] | None:
 def riccati_radius(y0: float) -> RadiusReport:
     """Convergence radius of the series for dY/dt = 1 + 2Y - Y^2, Y(0) = y0.
 
-    The radius is the distance from 0 to the nearest pole of the lattice,
-    sqrt(2)/4 |Log z|.  Starting exactly on a stationary state gives a
-    constant solution and an infinite radius.
+    The radius is ``riccati_radii`` at t = 0, the distance from 0 to the
+    nearest pole of the lattice.  Starting exactly on a stationary state
+    gives a constant solution and an infinite radius.
     """
     y0 = float(y0)
-    log_z = _start_log_z(y0)
-    if log_z is None:
+    radius = float(riccati_radii(y0, 0.0))
+    if radius == math.inf:
         return RadiusReport(
-            math.inf,
-            RadiusMethod.EXACT_RICCATI,
-            "constant solution at a stationary state; the series terminates",
-        )
-    return RadiusReport(
-        SQRT2 / 4.0 * math.hypot(*log_z),
-        RadiusMethod.EXACT_RICCATI,
-        f"nearest complex-time pole for y0={y0:.6g}",
-    )
+            radius, "constant solution at a stationary state; the series terminates")
+    return RadiusReport(radius, f"nearest complex-time pole for y0={y0:.6g}")
 
 
 def riccati_radii(y0: float, times) -> np.ndarray:
@@ -181,7 +167,6 @@ def estimate_radius(s: TruncatedSeries) -> RadiusReport:
     median = r[h] if window % 2 else (r[h - 1] + r[h]) / 2
     return RadiusReport(
         median,
-        RadiusMethod.RATIO_ESTIMATE,
         f"median spaced ratio, window={window}, spacing={spacing}, "
         f"ratio spread [{r[0]:.4g}, {r[-1]:.4g}]",
     )

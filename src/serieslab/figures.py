@@ -32,12 +32,14 @@ def polyline_self_intersects(points) -> bool:
 
     Shared endpoints and tangential touches do not count, so a closed or
     almost-closed simple curve stays negative.  Nor do orientations within
-    the rounding error of the points and of the arithmetic, so points
-    rounded off one straight line never cross.  Segments are tested in
-    blocks of 64 against the later segments whose bounding boxes meet the
-    block's box (a proper crossing needs that overlap), so a curve that
-    does not fold back on itself costs close to linear time; the worst
-    case stays quadratic in the number of points.
+    the rounding error of the pair's four points and of the arithmetic, so
+    points rounded off one straight line never cross.  A non-finite point
+    breaks the curve, as ``LinePlot`` draws it: no segment ending there
+    crosses anything.  Segments are tested in blocks of 64 against the
+    later segments whose bounding boxes meet the block's box (a proper
+    crossing needs that overlap), so a curve that does not fold back on
+    itself costs close to linear time; the worst case stays quadratic in
+    the number of points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -46,43 +48,51 @@ def polyline_self_intersects(points) -> bool:
     if n < 3:
         return False
     # one array per coordinate, so that nothing reduces over an axis of
-    # length 2
+    # length 2; a non-finite point is moved to 0 and its segments dropped
     x, y = pts[:, 0], pts[:, 1]
+    finite = np.isfinite(x) & np.isfinite(y)
+    x, y = np.where(finite, x, 0.0), np.where(finite, y, 0.0)
+    drawn = finite[:-1] & finite[1:]
     px, py, qx, qy = x[:-1], y[:-1], x[1:], y[1:]
-    dx, dy = qx - px, qy - py
     lox, loy = np.minimum(px, qx), np.minimum(py, qy)
     hix, hiy = np.maximum(px, qx), np.maximum(py, qy)
+    big = np.maximum(np.maximum(-lox, hix), np.maximum(-loy, hiy))
 
-    # The points carry rounding of their own, up to eps/2 of the largest
-    # coordinate m, so a difference of two is off by at most 2 eps m per
-    # coordinate, and the cross product of two differences v, w, with its
-    # own rounding, by at most 4 eps m (|v|_1 + |w|_1).  An orientation
+    # The points carry rounding of their own, up to eps/2 of the pair's
+    # largest coordinate m, so a difference of two is off by at most 2 eps m
+    # per coordinate, and the cross product of two differences v, w, with
+    # its own rounding, by at most 4 eps m (|v|_1 + |w|_1).  An orientation
     # inside twice that bound is taken as 0: no side.
-    slack = ORIENTATION_EPS * float(np.max(np.abs(pts)))
-
-    def orientation(vx, vy, wx, wy):
+    def orientation(vx, vy, wx, wy, slack):
         c = vx * wy - vy * wx
         size = (np.abs(vx) + np.abs(vy)) + (np.abs(wx) + np.abs(wy))
         return np.where(np.abs(c) > slack * size, c, 0.0)
 
     for i in range(0, n, 64):
         block = slice(i, min(i + 64, n))
-        # candidate partners: strictly later, non-adjacent segments whose
-        # boxes meet the block's box
+        # candidate partners: strictly later, non-adjacent, drawn segments
+        # whose boxes meet the block's box
         near = ((lox[i + 2:] <= hix[block].max()) & (loy[i + 2:] <= hiy[block].max())
-                & (hix[i + 2:] >= lox[block].min()) & (hiy[i + 2:] >= loy[block].min()))
+                & (hix[i + 2:] >= lox[block].min()) & (hiy[i + 2:] >= loy[block].min())
+                & drawn[i + 2:])
         j = np.flatnonzero(near) + (i + 2)
         if j.size == 0:
             continue
-        pix, piy = px[block, None], py[block, None]
-        dix, diy = dx[block, None], dy[block, None]
-        pjx, pjy, djx, djy = px[j], py[j], dx[j], dy[j]
-        d1 = orientation(djx, djy, pix - pjx, piy - pjy)
-        d2 = orientation(djx, djy, qx[block, None] - pjx, qy[block, None] - pjy)
-        d3 = orientation(dix, diy, pjx - pix, pjy - piy)
-        d4 = orientation(dix, diy, qx[j] - pix, qy[j] - piy)
+        # each pair scaled by the power of two that takes its m into
+        # [0.5, 1): exact, and no difference or product can overflow
+        m, exponent = np.frexp(np.maximum(big[block, None], big[j]))
+        e, slack = -exponent, ORIENTATION_EPS * m
+        pix, piy = np.ldexp(px[block, None], e), np.ldexp(py[block, None], e)
+        qix, qiy = np.ldexp(qx[block, None], e), np.ldexp(qy[block, None], e)
+        pjx, pjy, qjx, qjy = (np.ldexp(v[j], e) for v in (px, py, qx, qy))
+        djx, djy, dix, diy = qjx - pjx, qjy - pjy, qix - pix, qiy - piy
+        d1 = orientation(djx, djy, pix - pjx, piy - pjy, slack)
+        d2 = orientation(djx, djy, qix - pjx, qiy - pjy, slack)
+        d3 = orientation(dix, diy, pjx - pix, pjy - piy, slack)
+        d4 = orientation(dix, diy, qjx - pix, qjy - piy, slack)
         hits = (d1 * d2 < 0) & (d3 * d4 < 0)
         hits &= j[None, :] >= np.arange(i, block.stop)[:, None] + 2
+        hits &= drawn[block, None]
         if np.any(hits):
             return True
     return False

@@ -171,7 +171,9 @@ def _dop853_method():
             self.y_old, self._y_old = self.y, self._y
             self.t = t_new
             self.y, self._y = np.array(y_new), y_new
-            self.f, self._f = np.array(f_new), f_new
+            # scipy's self.f keeps the start's value: only the two methods
+            # overridden here read it
+            self._f = f_new
             self.h_abs = h_abs
             self._stages = stages
             return True, None

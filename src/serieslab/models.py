@@ -224,13 +224,14 @@ class ModelSpec:
                       if params.get(k) is not None and not 0.0 < params[k] < math.inf]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelInstance:
     """A model family's row at fixed rates and a fixed start.
 
     ``field`` is built here from ``spec.equations`` at ``params``, each
     coefficient a rate's float or its negation, exactly, so it cannot
-    disagree with the rates that other code reads.
+    disagree with the rates that other code reads.  Instances compare and
+    hash by identity, as their array start has no value equality.
     """
 
     spec: ModelSpec

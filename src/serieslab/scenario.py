@@ -355,11 +355,12 @@ class _Runner:
         return [check_row("series_radius_exact", radius, radius > 0,
                           "radius is positive", "closed-form pole location")]
 
-    def estimate_rows(self, exact=None):
+    def estimate_rows(self):
         """The trailing-ratio radius of each component, compared with the
-        ``exact`` radius when there is one; a component whose tail admits
-        no ratio test becomes its own error row."""
+        closed-form radius for the scalar model; a component whose tail
+        admits no ratio test becomes its own error row."""
         out = []
+        exact = self.exact_radius if self.model.spec is MODELS["riccati"] else None
         est_sol = generate_taylor_solution(self.model, ESTIMATE_ORDER)
         for name, comp in zip(self.names, est_sol.components):
             quantity = f"radius_estimate_{name}"
@@ -378,9 +379,6 @@ class _Runner:
                     quantity, est, exact, 0.15, "rel",
                     "closed-form radius (ratio test should land nearby)"))
         return out
-
-    def riccati_estimate_rows(self):
-        return self.estimate_rows(self.exact_radius)
 
     def restart_min_rows(self):
         from scipy.optimize import minimize_scalar
@@ -570,9 +568,7 @@ _TABLE = (
               "exact_final_state", ("exact_final_state",)),
     _Analysis(_Runner.exact_radius_rows, "radius", ("riccati",),
               "series_radius_exact", ("series_radius_exact",)),
-    _Analysis(_Runner.riccati_estimate_rows, "radius", ("riccati",),
-              "radius_estimate", ("radius_estimate_{c}",)),
-    _Analysis(_Runner.estimate_rows, "radius", ("lotka_volterra", "sir"),
+    _Analysis(_Runner.estimate_rows, "radius", ("riccati", "lotka_volterra", "sir"),
               "radius_estimate", ("radius_estimate_{c}",)),
     _Analysis(_Runner.restart_min_rows, "radius", ("riccati",),
               "multistage_radius_min", ("multistage_radius_min",),

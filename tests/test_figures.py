@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -59,10 +60,11 @@ def test_self_intersection_input_validation():
 
 def brute_force_self_intersects(points, allowance=ORIENTATION_EPS) -> bool:
     """All-pairs oracle: every non-adjacent pair gets the cross-product
-    test, with no bounding-box pruning.  An orientation within ``allowance``
-    times max|coordinate| times (|v|_1 + |w|_1) has no side; with
-    ``allowance=0`` this is the exact sign test, which rounding noise on
-    near-collinear segments can fool."""
+    test, with no bounding-box pruning and no scaling.  An orientation
+    within ``allowance`` times the pair's largest |coordinate| times
+    (|v|_1 + |w|_1) has no side; with ``allowance=0`` this is the exact
+    sign test, which rounding noise on near-collinear segments can fool.
+    Finite points of moderate size only."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0] - 1
     if n < 3:
@@ -70,9 +72,9 @@ def brute_force_self_intersects(points, allowance=ORIENTATION_EPS) -> bool:
     p = pts[:-1]
     q = pts[1:]
     d = q - p
-    slack = allowance * np.max(np.abs(pts))
+    big = np.maximum(np.abs(p), np.abs(q)).max(axis=-1)
 
-    def cross(v, w):
+    def cross(v, w, slack):
         c = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
         size = np.abs(v).sum(axis=-1) + np.abs(w).sum(axis=-1)
         return np.where(np.abs(c) > slack * size, c, 0.0)
@@ -81,10 +83,11 @@ def brute_force_self_intersects(points, allowance=ORIENTATION_EPS) -> bool:
         block = slice(i, min(i + 64, n))
         pi = p[block, None, :]
         di = d[block, None, :]
-        d1 = cross(d[None, :, :], pi - p[None, :, :])
-        d2 = cross(d[None, :, :], q[block, None, :] - p[None, :, :])
-        d3 = cross(di, p[None, :, :] - pi)
-        d4 = cross(di, q[None, :, :] - pi)
+        slack = allowance * np.maximum(big[block, None], big[None, :])
+        d1 = cross(d[None, :, :], pi - p[None, :, :], slack)
+        d2 = cross(d[None, :, :], q[block, None, :] - p[None, :, :], slack)
+        d3 = cross(di, p[None, :, :] - pi, slack)
+        d4 = cross(di, q[None, :, :] - pi, slack)
         hits = (d1 * d2 < 0) & (d3 * d4 < 0)
         idx_i = np.arange(i, min(i + 64, n))[:, None]
         idx_j = np.arange(n)[None, :]
@@ -165,6 +168,43 @@ def test_self_intersection_finds_a_crossing_many_blocks_back():
     pts = np.vstack([pts, [[299.0, -5.0], [2.5, -5.0], [2.5, 5.0]]])
     assert polyline_self_intersects(pts)
     assert brute_force_self_intersects(pts)
+
+
+# a plain X: segments 0 and 2 cross at (0.5, 0.5)
+CROSS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("far", [1e14, 1e15])
+def test_a_far_point_does_not_hide_a_crossing(far):
+    # the rounding allowance of a pair comes from its own four points: a
+    # global one, from the far point, took every orientation of the X as 0
+    pts = np.vstack([CROSS, [[far, 1.0]]])
+    assert polyline_self_intersects(pts)
+    assert brute_force_self_intersects(pts)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_point_breaks_the_curve(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert polyline_self_intersects(np.vstack([CROSS, [[bad, 1.0]]]))
+        assert polyline_self_intersects(np.vstack([[[1.0, bad]], CROSS]))
+        # the segments to and from the break are not drawn: were the break
+        # read as (0, 0), the third would cross the first at (1, 0)
+        gap = [[1.0, -1.0], [1.0, 1.0], [2.0, 0.0], [bad, bad], [-1.0, 0.0]]
+        assert not polyline_self_intersects(gap)
+        assert not polyline_self_intersects([[bad, 0.0]] * 6)
+
+
+@pytest.mark.parametrize("scale", [1e160, -1.7e308, 1e-160, 1e-310])
+def test_self_intersection_holds_at_extreme_scales(scale):
+    # each pair is scaled exactly, by a power of two, before any product:
+    # unscaled, the X's products overflowed at 1e160, with numpy warnings,
+    # and underflowed to 0 at 1e-160, where the X read False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert polyline_self_intersects(CROSS * scale)
+        assert not polyline_self_intersects(CROSS[[0, 3, 1, 2]] * scale)
 
 
 #: the period of lv_case_v, from 40-digit Taylor stepping in mpmath (orders

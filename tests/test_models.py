@@ -229,6 +229,16 @@ def test_model_instance_copies_its_start():
     assert model.initial_state.tolist() == [3.0, 2.0]
 
 
+def test_model_instance_compares_and_hashes_by_identity():
+    # value equality compared the start arrays, which raised ValueError, and
+    # hashing the params dict raised TypeError
+    model = make_model("lotka_volterra", {"a": 1, "b": 2, "c": 3, "d": 4}, [1.0, 1.0])
+    twin = make_model("lotka_volterra", {"a": 1, "b": 2, "c": 3, "d": 4}, [1.0, 1.0])
+    assert model == model and model != twin
+    assert hash(model) == hash(model)
+    assert len({model, twin, model}) == 2
+
+
 def test_make_model_round_trips():
     model = make_model("lotka_volterra", {"a": 1, "b": 2, "c": 3, "d": 4}, [1.0, 1.0])
     assert model.label == "lotka_volterra"
