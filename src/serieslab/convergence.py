@@ -63,14 +63,19 @@ def _stationary_gaps(y0: float) -> tuple[float, float]:
     return above, below
 
 
-def _log_z(y0: float) -> tuple[float, float]:
+def _start_log_z(y0: float) -> tuple[float, float] | None:
     """Real and imaginary parts of Log z, z = (y0 - 1 - sqrt(2)) /
-    (y0 + sqrt(2) - 1), for a start off both stationary states.
+    (y0 + sqrt(2) - 1), for a finite start, or None on a float stationary
+    state, whose solution is constant; a start an ulp away has its poles.
 
     The solution from y0 has its poles on the lattice
     t_k = (Log z + 2 pi i k) / (2 sqrt(2)).  z < 0 whenever y0 lies
     between the two stationary states, and then no pole is real.
     """
+    if not math.isfinite(y0):
+        raise ValueError("y0 must be finite")
+    if y0 in (RICCATI_STATIONARY, RICCATI_UNSTABLE):
+        return None
     num, den = _stationary_gaps(y0)
     ratio = num / den
     if 0.5 < ratio < 2.0:
@@ -80,16 +85,6 @@ def _log_z(y0: float) -> tuple[float, float]:
     else:
         re = math.log(abs(ratio))
     return re, (math.pi if ratio < 0 else 0.0)
-
-
-def _start_log_z(y0: float) -> tuple[float, float] | None:
-    """``_log_z(y0)`` for a finite start, or None on a float stationary
-    state, whose solution is constant; a start an ulp away has its poles."""
-    if not math.isfinite(y0):
-        raise ValueError("y0 must be finite")
-    if y0 in (RICCATI_STATIONARY, RICCATI_UNSTABLE):
-        return None
-    return _log_z(y0)
 
 
 def riccati_radius(y0: float) -> RadiusReport:

@@ -48,7 +48,7 @@ class Trajectory:
 
     ``states`` has one row per entry of ``times``; ``meta`` records how
     the trajectory was produced (order, step, tolerance, ...).  A solve in
-    w = ln u keeps w as ``log_states``, of which ``states`` is the exp.
+    w = ln u keeps w as ``log_states``, NaN in the columns solved in u.
     """
 
     times: np.ndarray
@@ -131,7 +131,8 @@ def _dop853_method():
     straight-line float code (``_dop853_kernels``) under scipy's step-size
     rule; ``__init__``, and with it the initial step, is scipy's.  The
     option ``list_fun`` is the right-hand side on lists of floats; ``fun``
-    serves only ``__init__``.  Real states and scalar tolerances only."""
+    serves only ``__init__``.  Real states, and each tolerance an array of
+    one value per component, only."""
     from scipy.integrate import DOP853
     from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
                                          Dop853DenseOutput)
@@ -141,7 +142,7 @@ def _dop853_method():
             super().__init__(fun, t0, y0, t_bound, **options)
             self._list_fun = list_fun
             self._step, self._dense = _dop853_kernels(self.n)
-            self._tols = float(self.rtol), float(self.atol)
+            self._tols = self.rtol.tolist(), self.atol.tolist()
             self._y, self._f = self.y.tolist(), self.f.tolist()
 
         def _step_impl(self):
@@ -199,11 +200,12 @@ def _dop853_source(n: int, tableau) -> str:
     ``n`` floats, from the arrays ``tableau`` maps the names of
     _DOP853_SHAPES to.
 
-    ``step(fun, t, h, y, f, rtol, atol)`` is scipy's ``rk_step`` and
-    DOP853 error norm: it returns the new state, the derivative there, the
-    norm and the 13 stages, flat.  ``dense(fun, t, h, y, y_new, stages)``
-    runs the three extra stages and returns the 7 rows of scipy's
-    interpolant.  Each stage sum adds the nonzero tableau terms in order.
+    ``step(fun, t, h, y, f, rtol, atol)``, each tolerance a list of ``n``
+    floats, is scipy's ``rk_step`` and DOP853 error norm: it returns the new
+    state, the derivative there, the norm and the 13 stages, flat.
+    ``dense(fun, t, h, y, y_new, stages)`` runs the three extra stages and
+    returns the 7 rows of scipy's interpolant.  Each stage sum adds the
+    nonzero tableau terms in order.
     """
     for name, shape in _DOP853_SHAPES.items():
         if tableau[name].shape != shape:
@@ -226,6 +228,8 @@ def _dop853_source(n: int, tableau) -> str:
     every_stage = "".join(names(f"k{s}_") for s in range(13))
     lines = ["def step(fun, t, h, y, f, rtol, atol):",
              f"    {names('y')}= y",
+             f"    {names('rt')}= rtol",
+             f"    {names('at')}= atol",
              f"    {names('k0_')}= f"]
     lines += [stage(s, C[s], A[s]) for s in range(1, 12)]
     lines += [f"    z{i} = y{i} + h * ({dot(tableau['B'], i)})" for i in comps]
@@ -235,7 +239,7 @@ def _dop853_source(n: int, tableau) -> str:
         # scale = atol + np.maximum(|y|, |y_new|) * rtol, NaN passing through
         lines += [f"        a = abs(y{i})",
                   f"        b = abs(z{i})",
-                  "        s = atol + (a if a >= b else b) * rtol",
+                  f"        s = at{i} + (a if a >= b else b) * rt{i}",
                   f"        e{i} = ({dot(tableau['E5'], i)}) / s",
                   f"        g{i} = ({dot(tableau['E3'], i)}) / s"]
     lines += [f"        r = sqrt({' + '.join(f'e{i} * e{i}' for i in comps)})",
@@ -281,17 +285,12 @@ def _dop853_kernels(n: int):
                     sqrt=math.sqrt, nan=math.nan, ZeroDivisionError=ZeroDivisionError)
 
 
-#: tolerances of the log-coordinate solve (see reference_integrate):
-#: absolute error in w = ln u is relative error in u, so the absolute
-#: tolerance, a share of ``tol``, does the work; the relative one only
-#: has to stay above scipy's floor of 100 eps
+#: tolerances of a component solved in w = ln u (see reference_integrate):
+#: absolute error in w is relative error in u, so the absolute tolerance,
+#: a share of ``tol``, does the work; the relative one only has to stay
+#: above scipy's floor of 100 eps
 LOG_RTOL = 1e-13
 LOG_ATOL_SHARE = 1e-2
-
-#: the default absolute floor of a solve in u of a Kolmogorov-form field (a
-#: predator-prey start on an axis), whose populations can decay through
-#: dozens of orders of magnitude
-DEEP_DECAY_ATOL = 1e-140
 
 #: DIVERGENCE_LIMIT in log coordinates
 LOG_DIVERGENCE_LIMIT = math.log(DIVERGENCE_LIMIT)
@@ -316,22 +315,19 @@ def reference_integrate(
 ) -> Trajectory:
     """Ground-truth trajectory from an embedded adaptive Runge-Kutta pair.
 
-    A field in Kolmogorov form (each u_i' = u_i * g_i(u), as in the
-    predator-prey model) started with every component positive is
-    integrated in w = ln u.  There absolute error is relative error in u,
-    so a population that decays through many orders of magnitude stays
-    relatively accurate and can never turn negative.  The tolerances then
-    apply to w: relative ``LOG_RTOL`` and absolute ``tol * LOG_ATOL_SHARE``;
-    ``atol`` is not used.
+    Each component that ``ModelInstance.per_capita`` logs (its equation is
+    u_i * g_i(u) and it starts positive) is integrated in w_i = ln u_i,
+    where absolute error is relative error in u: a count that decays
+    through many orders of magnitude stays relatively accurate, can never
+    turn negative, and sets no stability bound on the step.  Its tolerances
+    are relative ``LOG_RTOL`` and absolute ``tol * LOG_ATOL_SHARE``.
 
-    Every other field or start is integrated in u, with relative tolerance
-    ``tol``.  The absolute floor ``atol`` defaults to ``DEEP_DECAY_ATOL`` for
-    a field in Kolmogorov form, whose components can decay through many
-    orders of magnitude, and else to ``tol * 1e-3`` scaled by the start.
-
-    ``meta`` records the coordinates and the tolerances passed to the
-    solver; a solve in w keeps w as ``log_states``, outside ``meta``.  The
-    trajectory is sampled on ``grid`` (defaults to 401 uniform points).
+    Every other component is integrated in u, with relative tolerance
+    ``tol`` and absolute ``atol``, by default ``tol * 1e-3`` scaled by the
+    start.  ``meta`` records the coordinates and the tolerances passed to
+    the solver, each one value when the components agree; w stays outside
+    it, in ``log_states`` (see Trajectory).  The trajectory is sampled on
+    ``grid`` (defaults to 401 uniform points).
     """
     lo, hi = TOL_RANGE
     if not (lo <= tol <= hi):
@@ -353,16 +349,26 @@ def reference_integrate(
             f"solution escaped the divergence limit near t={last:.6g}"
             if sol.status == 1 else
             f"integrator stopped at t={last:.6g}: {sol.message}", last_time=last)
-    if "coordinates" in meta:
-        return _from_log(sol.t, sol.y.T, meta)
-    return Trajectory(sol.t, sol.y.T, "reference", meta=meta)
+    return _from_log(sol.t, sol.y.T, model.per_capita[0], meta)
 
 
-def _from_log(times, log_states, meta: dict) -> Trajectory:
-    """The trajectory of a solve in w = ln u: u = exp(w) by ``math.exp``,
-    not np.exp, whose last bit depends on the SIMD build."""
-    states = [[math.exp(v) for v in row] for row in log_states.tolist()]
+def _from_log(times, solved, mask, meta: dict) -> Trajectory:
+    """The trajectory of a solve with the components ``mask`` marks in
+    w = ln u: there u = exp(w) by ``math.exp``, not np.exp, whose last bit
+    depends on the SIMD build, and ``log_states`` holds w, or is None when
+    no component is logged."""
+    logged = [i for i, log in enumerate(mask) if log]
+    states = solved.tolist()
+    for row in states:
+        for i in logged:
+            row[i] = math.exp(row[i])
+    log_states = np.where(mask, solved, math.nan) if logged else None
     return Trajectory(times, states, "reference", meta, log_states)
+
+
+def _uniform(values):
+    """Per-component ``values`` for ``meta``: one value if all agree."""
+    return values[0] if len(set(values)) == 1 else " ".join(map(str, values))
 
 
 def _dop853(model: ModelInstance, t_end: float, tol: float,
@@ -370,44 +376,39 @@ def _dop853(model: ModelInstance, t_end: float, tol: float,
             dense_output: bool = False):
     """scipy's result and the ``meta`` of the DOP853 solve over [0,
     ``t_end``] that reference_integrate describes, with a terminal blow-up
-    event ahead of ``events``; with ``meta["coordinates"]`` the states and
-    ``events`` are in w = ln u.  The solve steps with _dop853_method, on
-    the right-hand side as a function of lists."""
+    event ahead of ``events``; the states and ``events`` are in w = ln u at
+    the components ``model.per_capita`` logs.  The solve steps with
+    _dop853_method, on the right-hand side as a function of lists."""
     # math.exp and math.log on plain floats, not np.exp and np.log, whose
     # last bit depends on the SIMD build
     exp = math.exp
-    rates = model.field.per_capita
-    u0 = np.asarray(model.initial_state, dtype=float)
-    start = u0.tolist()
-    if rates is not None and min(start) > 0.0:
-        def rhs(t, w):
-            try:
-                u = [exp(v) for v in w]
-            except OverflowError:
-                # a trial stage far past the blow-up level; NaN rejects it
-                return [math.nan] * len(w)
-            return rates.evaluate(u).tolist()
+    mask, field = model.per_capita
+    logged = [i for i, log in enumerate(mask) if log]
+    start = model.initial_state.tolist()
+    y0 = np.array([math.log(v) if log else v for v, log in zip(start, mask)])
+    if atol is None:
+        atol = tol * 1e-3 * max(1.0, max(map(abs, start)))
+    rtols = [LOG_RTOL if log else tol for log in mask]
+    atols = [tol * LOG_ATOL_SHARE if log else atol for log in mask]
+    meta = {"tol": tol}
+    if logged:
+        meta |= {"coordinates": _uniform(["log" if log else "u" for log in mask]),
+                 "rtol": _uniform(rtols)}
+    meta |= {"atol": _uniform(atols), "method": "DOP853"}
 
-        def blow_up(t, w):
-            return LOG_DIVERGENCE_LIMIT - max(w.tolist())
+    def rhs(t, w):
+        u = w[:]
+        try:
+            for i in logged:
+                u[i] = exp(u[i])
+        except OverflowError:
+            # a trial stage far past the blow-up level; NaN rejects it
+            return [math.nan] * len(w)
+        return field.evaluate(u).tolist()
 
-        y0 = np.array([math.log(v) for v in start])
-        rtol, atol = LOG_RTOL, tol * LOG_ATOL_SHARE
-        meta = {"tol": tol, "coordinates": "log", "rtol": rtol, "atol": atol,
-                "method": "DOP853"}
-    else:
-        def rhs(t, u):
-            return model.field.evaluate(u).tolist()
-
-        def blow_up(t, u):
-            return DIVERGENCE_LIMIT - np.max(np.abs(u))
-
-        y0 = u0
-        if atol is None:
-            atol = DEEP_DECAY_ATOL if rates is not None else (
-                tol * 1e-3 * max(1.0, float(np.max(np.abs(u0)))))
-        rtol = tol
-        meta = {"tol": tol, "atol": atol, "method": "DOP853"}
+    def blow_up(t, w):
+        return min(LOG_DIVERGENCE_LIMIT - v if log else DIVERGENCE_LIMIT - abs(v)
+                   for v, log in zip(w.tolist(), mask))
 
     blow_up.terminal = True
 
@@ -415,8 +416,8 @@ def _dop853(model: ModelInstance, t_end: float, tol: float,
     # a rejected step or IntegrationError; numpy's warnings would only escape
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(lambda t, y: rhs(t, y.tolist()), (0.0, float(t_end)), y0,
-                        method=_dop853_method(), list_fun=rhs, rtol=rtol,
-                        atol=atol, t_eval=t_eval, events=[blow_up, *events],
+                        method=_dop853_method(), list_fun=rhs, rtol=np.array(rtols),
+                        atol=np.array(atols), t_eval=t_eval, events=[blow_up, *events],
                         dense_output=dense_output)
     return sol, meta
 
@@ -453,7 +454,7 @@ def lv_closed_orbit(model: ModelInstance) -> tuple[float, Trajectory]:
         raise RuntimeError("could not detect an orbital period")
     period = float(events[1] - events[0])
     grid = np.linspace(0.0, 0.999 * period, 1200)
-    return period, _from_log(grid, sol.sol(grid).T, {})
+    return period, _from_log(grid, sol.sol(grid).T, model.per_capita[0], {})
 
 
 def sample_series(solution: SeriesSolution, grid) -> Trajectory:

@@ -151,22 +151,6 @@ class PolynomialVectorField:
             terms.append(tuple(eq_terms))
         return ProductPlan(tuple(rows), tuple(terms))
 
-    @cached_property
-    def per_capita(self) -> PolynomialVectorField | None:
-        """The field g with u_i' = u_i * g_i(u), or None if some monomial
-        of equation i lacks a factor u_i (the field is not in Kolmogorov
-        form).  g_i is equation i with one power of u_i removed from each
-        monomial; in w = ln u the system reads w_i' = g_i(exp(w))."""
-        equations = []
-        for i, eq in enumerate(self.equations):
-            if any(mono.exponents[i] == 0 for mono in eq):
-                return None
-            equations.append(tuple(
-                Monomial(mono.coefficient,
-                         tuple(e - (j == i) for j, e in enumerate(mono.exponents)))
-                for mono in eq))
-        return PolynomialVectorField(self.dimension, tuple(equations))
-
     def evaluate(self, state) -> np.ndarray:
         """Evaluate P(state) componentwise.
 
@@ -257,6 +241,23 @@ class ModelInstance:
             tuple(Monomial(factor if rate is None else factor * params[rate], exponents)
                   for factor, rate, exponents in eq) for eq in spec.equations))
         object.__setattr__(self, "field", field)
+
+    @cached_property
+    def per_capita(self) -> tuple[tuple[bool, ...], PolynomialVectorField]:
+        """Which components the reference solve takes in w = ln u, and the
+        field it evaluates.  Component i is logged when every monomial of
+        equation i carries u_i, so u_i' = u_i * g_i(u), and u_i(0) > 0; its
+        equation is then g_i, equation i with one power of u_i removed from
+        each monomial, since w_i' = g_i(u).  Any other equation stays P_i,
+        and a component u_i * g_i started at 0 stays exactly 0 in u."""
+        logged, equations = [], []
+        for i, (eq, u) in enumerate(zip(self.field.equations, self.initial_state.tolist())):
+            logged.append(u > 0.0 and all(mono.exponents[i] for mono in eq))
+            equations.append(tuple(
+                Monomial(mono.coefficient,
+                         tuple(e - (j == i) for j, e in enumerate(mono.exponents)))
+                for mono in eq) if logged[i] else eq)
+        return tuple(logged), PolynomialVectorField(len(equations), tuple(equations))
 
     @property
     def label(self) -> str:

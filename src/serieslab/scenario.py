@@ -474,8 +474,8 @@ class _Runner:
         series, reference = self.series_tr, self.reference_tr
         p = self.model.params
         rates = (p["a"], p["b"], p["c"], p["d"])
-        # a start on an axis, the one start solved in u, has no first
-        # integral: h0 raises.  Along the reference it reads the solve's w
+        # a start on an axis has no first integral: h0 raises.  From any
+        # other both populations are solved in w, which the drift reads
         h0 = lv_conserved(*(float(v) for v in self.model.initial_state), *rates)
         drift = max(abs(_lv_integral(*w, *u, *rates) - h0) for w, u in
                     zip(reference.log_states.tolist(), reference.states.tolist()))

@@ -21,6 +21,7 @@ from serieslab.integrators import (
 from serieslab.models import (
     ModelInstance,
     ModelSpec,
+    PolynomialVectorField,
     build_riccati,
     make_model,
 )
@@ -261,7 +262,7 @@ def lv_accuracy_cases():
 
 #: largest relative error of the log path at tol = 1e-10 over
 #: lv_accuracy_cases, measured at 1.06e-10 (lv-orbit), with a factor 2 of
-#: slack; the path in u with atol = DEEP_DECAY_ATOL measured 1.4e-9
+#: slack; a solve in u with an absolute floor of 1e-140 measured 1.4e-9
 LOG_PATH_ERROR_BOUND = 2e-10
 
 
@@ -279,37 +280,47 @@ def test_log_path_meta_records_the_tolerances_passed(monkeypatch):
     forward = serieslab.integrators.solve_ivp
 
     def spy(*args, **kwargs):
-        passed.append((kwargs["rtol"], kwargs["atol"]))
+        passed.append((kwargs["rtol"].tolist(), kwargs["atol"].tolist()))
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(serieslab.integrators, "solve_ivp", spy)
     tr = reference_integrate(lv_case_v(), 1.0, 1e-10, atol=1e-140)
-    assert passed == [(1e-13, 1e-12)]
+    assert passed == [([1e-13, 1e-13], [1e-12, 1e-12])]
     assert tr.meta == {"tol": 1e-10, "coordinates": "log", "rtol": 1e-13,
                        "atol": 1e-12, "method": "DOP853"}
-    # a start on an axis, and every field not in Kolmogorov form, stay in u
+    # each component solved in u has rtol = tol and the absolute floor
+    # ``atol``, by default 1e-3 tol scaled by the start
     on_axis = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0),
                          [0.0, 2.0])
-    for model, atol in ((on_axis, 1e-140), (sir_slow(), None)):
-        tr = reference_integrate(model, 1.0, 1e-10, atol=atol)
-        assert "coordinates" not in tr.meta
-        assert passed[-1] == (1e-10, tr.meta["atol"])
-        assert atol is None or tr.meta["atol"] == atol
+    tr = reference_integrate(on_axis, 1.0, 1e-10, atol=1e-140)
+    assert passed[-1] == ([1e-10, 1e-13], [1e-140, 1e-12])
+    assert tr.meta == {"tol": 1e-10, "coordinates": "u log", "rtol": "1e-10 1e-13",
+                       "atol": "1e-140 1e-12", "method": "DOP853"}
+    floor = 1e-10 * 1e-3 * 20.0
+    tr = reference_integrate(sir_slow(), 1.0, 1e-10)
+    assert passed[-1] == ([1e-13, 1e-13, 1e-10], [1e-12, 1e-12, floor])
+    assert tr.meta["coordinates"] == "log log u"
+    assert tr.meta["atol"] == f"1e-12 1e-12 {floor}"
+    tr = reference_integrate(build_riccati(0.0), 1.0, 1e-10)
+    assert passed[-1] == ([1e-10], [1e-13])
+    assert tr.meta == {"tol": 1e-10, "atol": 1e-13, "method": "DOP853"}
 
 
-def test_solve_in_u_of_a_kolmogorov_field_keeps_deep_decay_atol():
+def test_on_axis_start_keeps_its_zero_component_in_u():
+    # the prey's equation is in Kolmogorov form, so from 0 it stays exactly
+    # 0 and needs no absolute floor; the predator, y = 2 exp(-t), is in w
     on_axis = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0),
                          [0.0, 2.0])
-    tr = reference_integrate(on_axis, 1.0, 1e-10)
-    assert "coordinates" not in tr.meta
-    assert tr.meta["atol"] == 1e-140
-    # a field not in Kolmogorov form keeps the floor scaled by its start
-    assert reference_integrate(sir_slow(), 1.0, 1e-10).meta["atol"] == 1e-10 * 1e-3 * 20.0
+    tr = reference_integrate(on_axis, 30.0, 1e-10)
+    assert tr.meta["coordinates"] == "u log"
+    assert np.all(tr.states[:, 0] == 0.0)
+    exact = 2.0 * np.exp(-tr.times)
+    assert np.max(np.abs(tr.states[:, 1] / exact - 1.0)) < 1e-9
 
 
 def test_log_path_keeps_a_deep_decay_non_negative():
     # the prey falls like exp(-300 t); in u the solve returned prey counts
-    # of -9.6e-10 (default atol) and -2.9e-139 (DEEP_DECAY_ATOL).  From
+    # of -9.6e-10 (default atol) and -2.9e-139 (atol 1e-140).  From
     # about t = 2.5 the true count lies below the smallest float, so it
     # rounds to 0
     model = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=0.01, d=1.0),
@@ -338,13 +349,70 @@ def test_log_path_keeps_the_w_its_states_came_from():
     assert "log_states" not in tr.meta
 
 
-@pytest.mark.parametrize("model", [
-    build_riccati(0.0),
-    sir_slow(),
-    make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [0.0, 2.0]),
+def sir_y_of_x_error(tr, model):
+    """Largest miss of the reference's infectives from y = x0 + y0 - x +
+    (gamma/beta) ln(x/x0), with ln x read from the solve's own w, over x0."""
+    p = model.params
+    x0, y0, _ = model.initial_state.tolist()
+    w = tr.log_states[:, 0]
+    exact = x0 + y0 - np.exp(w) + p["gamma"] / p["beta"] * (w - math.log(x0))
+    return float(np.max(np.abs(tr.states[:, 1] - exact))) / x0
+
+
+def test_sir_deep_decay_stays_positive_and_on_its_curve():
+    # the susceptibles fall to 2e-105 by t = 5; in u the solve sent 169 of
+    # the 401 samples negative from t = 0.79 on, and missed y(x) by 4.3e-2
+    # of x0.  In ln x the miss measured 1.0e-12 of x0
+    model = make_model("sir", dict(beta=1.0, gamma=0.01), [50.0, 1.0, 0.0])
+    tr = reference_integrate(model, 5.0)
+    assert np.all(tr.states[:, 0] > 0.0)
+    assert sir_y_of_x_error(tr, model) < 1e-9
+
+
+#: field evaluations allowed to the stiff SIR solve below, which made 767;
+#: in u, where the susceptibles' decay rate of about 1e8 bounds DOP853's
+#: step, it made 27.2 million and took 164 s
+STIFF_SIR_BUDGET = 5000
+
+
+def test_stiff_sir_solve_stays_within_its_evaluation_budget(monkeypatch):
+    evaluate = PolynomialVectorField.evaluate
+    calls = []
+
+    def counted(self, state):
+        calls.append(1)
+        if len(calls) > STIFF_SIR_BUDGET:
+            raise RuntimeError(f"more than {STIFF_SIR_BUDGET} field evaluations")
+        return evaluate(self, state)
+
+    monkeypatch.setattr(PolynomialVectorField, "evaluate", counted)
+    start = [69607.0, 22521.0, 9.3]
+    model = make_model("sir", dict(beta=1617.0, gamma=2.07), start)
+    tr = reference_integrate(model, 0.108)
+    # x underflows to 0 while ln x stays finite; the miss from y(x) and
+    # the population drift measured 1.5e-13 and 1.1e-13
+    assert tr.states[-1, 0] == 0.0
+    assert sir_y_of_x_error(tr, model) < 1e-9
+    assert float(np.max(np.abs(tr.states.sum(axis=1) - sum(start)))) < 1e-9 * sum(start)
+
+
+@pytest.mark.parametrize("model, logged", [
+    (build_riccati(0.0), (False,)),
+    (sir_slow(), (True, True, False)),
+    (make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [0.0, 2.0]),
+     (False, True)),
 ], ids=["riccati", "sir", "lv-on-an-axis"])
-def test_a_solve_in_u_keeps_no_log_states(model):
-    assert reference_integrate(model, 1.0).log_states is None
+def test_a_solve_in_u_keeps_no_log_states(model, logged):
+    # log_states is None when no component is in w = ln u, and else NaN at
+    # each component solved in u
+    tr = reference_integrate(model, 1.0)
+    if not any(logged):
+        assert tr.log_states is None
+        return
+    logged = list(logged)
+    assert np.array_equal(np.isnan(tr.log_states).all(axis=0), np.logical_not(logged))
+    assert ([[math.exp(w) for w in row] for row in tr.log_states[:, logged].tolist()]
+            == tr.states[:, logged].tolist())
 
 
 def test_log_path_blow_up_raises_integration_error():
@@ -384,7 +452,7 @@ def test_overflowing_field_raises_integration_error_and_no_warning(terms, in_log
     # the field overflows to inf inside scipy's step; numpy's warnings about
     # the inf and NaN that follow stay inside the solve
     model = rate_free_model("test", (terms,), [1.0])
-    assert (model.field.per_capita is not None) == in_logs
+    assert model.per_capita[0] == (in_logs,)
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -420,8 +488,9 @@ def solves_under(method, run, monkeypatch):
 
 def seeded_starts(seed):
     """(name, model, t_end, atol) of seeded Riccati, predator-prey and
-    epidemic models: Riccati and SIR in u, predator-prey in w = ln u and,
-    from a start on an axis, in u."""
+    epidemic models: Riccati in u; predator-prey in w = ln u, and from a
+    start on an axis its zero prey in u; SIR's susceptibles and infectives
+    in w and its removed count in u."""
     rng = np.random.default_rng([seed, 17])
     sir_rates = np.exp(rng.uniform(math.log(0.005), math.log(0.5), 2)).tolist()
     on_axis = make_model("lotka_volterra", dict(zip("abcd", rng.uniform(0.2, 2.0, 4))),
@@ -458,13 +527,15 @@ KERNEL_STATE_BOUND = 0.5
 
 def kernel_state_error(sol, want, rtol, atol):
     """Largest difference of two solves' states in units of the solver's
-    error scale, atol + rtol |y|: at t_eval, or on a common grid of their
-    dense output, where the steps themselves land on different times."""
+    error scale, atol + rtol |y|, each tolerance a scalar or one value per
+    component: at t_eval, or on a common grid of their dense output, where
+    the steps themselves land on different times."""
     if want.sol is None:
         got, ref = sol.y, want.y
     else:
         grid = np.linspace(0.0, min(sol.t[-1], want.t[-1]), 1001)
         got, ref = sol.sol(grid), want.sol(grid)
+    rtol, atol = (np.reshape(tol, (-1, 1)) for tol in (rtol, atol))
     return float(np.max(np.abs(got - ref) / (atol + rtol * np.abs(ref))))
 
 

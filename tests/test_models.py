@@ -335,18 +335,31 @@ def test_every_field_builder_raises_the_problems_text(bad):
 
 
 def test_per_capita_field_of_the_kolmogorov_form():
-    field = lv_field(1.0, 2.0, 3.0, 4.0)
-    rates = field.per_capita
+    model = make_model("lotka_volterra", dict(a=1.0, b=2.0, c=3.0, d=4.0), [0.7, 1.9])
+    logged, rates = model.per_capita
+    assert logged == (True, True)
     assert rates == PolynomialVectorField(2, (
         (Monomial(1.0, (0, 0)), Monomial(-2.0, (0, 1))),
         (Monomial(-3.0, (0, 0)), Monomial(4.0, (1, 0))),
     ))
-    assert field.per_capita is rates
+    assert model.per_capita[1] is rates
     u = [0.7, 1.9]
-    assert np.allclose(field.evaluate(u), np.multiply(u, rates.evaluate(u)),
+    assert np.allclose(model.field.evaluate(u), np.multiply(u, rates.evaluate(u)),
                        rtol=0.0, atol=1e-14)
-    # a constant term, or dz/dt = gamma*y with no factor z, breaks the form
-    assert build_riccati(0.0).field.per_capita is None
-    assert sir_field(1.0, 1.0).per_capita is None
-    cubic = PolynomialVectorField(1, ((Monomial(2.0, (3,)),),))
-    assert cubic.per_capita == PolynomialVectorField(1, ((Monomial(2.0, (2,)),),))
+    # a constant term, dz/dt = gamma*y with no factor z, or a start at 0
+    # keeps that component's equation as it is
+    riccati = build_riccati(0.0)
+    assert riccati.per_capita == ((False,), riccati.field)
+    sir = make_model("sir", dict(beta=2.0, gamma=3.0), [5.0, 0.0, 1.0])
+    assert sir.per_capita == ((True, False, False), PolynomialVectorField(3, (
+        (Monomial(-2.0, (0, 1, 0)),),
+        sir.field.equations[1],
+        sir.field.equations[2],
+    )))
+    on_axis = make_model("lotka_volterra", dict(a=1.0, b=2.0, c=3.0, d=4.0), [0.0, 1.9])
+    assert on_axis.per_capita == ((False, True), PolynomialVectorField(2, (
+        on_axis.field.equations[0], rates.equations[1])))
+    cubic = ModelInstance(ModelSpec("cubic", (), ("u",), False,
+                                    (((2.0, None, (3,)),),)), {}, [1.5])
+    assert cubic.per_capita == ((True,), PolynomialVectorField(
+        1, ((Monomial(2.0, (2,)),),)))

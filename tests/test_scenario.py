@@ -472,7 +472,7 @@ def test_multistage_rows_solve_on_the_stage_times(text, tmp_path, monkeypatch):
     assert len(calls) == 2
     for grid in (runner.grid, stages):
         assert any(np.array_equal(grid, called) for called in calls)
-    # the solves choose their own absolute floor from the field
+    # the solves choose their own coordinates and floors from the model
     on_grid = reference_integrate(runner.model, config.t_end, 1e-10,
                                   grid=runner.grid)
     on_nodes = reference_integrate(runner.model, config.t_end, 1e-10,
@@ -486,9 +486,9 @@ def test_multistage_rows_solve_on_the_stage_times(text, tmp_path, monkeypatch):
 
 
 def test_lv_crash_reference_solve_cost(tmp_path, monkeypatch):
-    # a deterministic guard on the log-coordinate path: the solve in u with
-    # atol = DEEP_DECAY_ATOL made 5834 field evaluations here, the log path
-    # 617
+    # a deterministic guard on the log-coordinate path: a solve in u with
+    # an absolute floor of 1e-140 made 5834 field evaluations here, the log
+    # path 617
     evaluate = PolynomialVectorField.evaluate
     counts = []
 

@@ -474,7 +474,9 @@ def test_every_artifact_matches_the_per_point_oracles(tmp_path, monkeypatch):
 #: be read from the period solve, and again when that solve moved to the
 #: log coordinates of reference_integrate; and the 18 whose bytes moved
 #: when the reference solves came to step on Python floats, in the float
-#: kernel behind scipy's DOP853, instead of numpy's).  `run <preset>` and
+#: kernel behind scipy's DOP853, instead of numpy's; and the 7 SIR
+#: reference and report files, with report_all.csv, when the susceptible
+#: and infective counts came to be solved in w = ln u).  `run <preset>` and
 #: `report-all` write the same per-preset files, so a name is its last two
 #: path components.
 ARTIFACT_SHA256 = {
@@ -496,7 +498,7 @@ ARTIFACT_SHA256 = {
     "lv-orbit/report.csv": "2aaecf36ba60d678a8353304c681a5f6934258da5c2331888c3d8aa21fd58939",
     "lv-orbit/report.txt": "20c204075f426a7d1d1f9fa0a3877b5be0dfe7c71b72b9b9e2ddff3d9195e242",
     "lv-orbit/timeseries.svg": "07be5ea038831eb23d9f781c4d418cae90291444125eb8e55871e3e6c046283d",
-    "report-all/report_all.csv": "5531606980f7f4d147bfc1f8384433255b3484fc7e5847c763ea2a1de2daca30",
+    "report-all/report_all.csv": "4481862ca35e9a67b45ca9b354af4fd712ef4b2efc3b46d4f394a0438190cc33",
     "report-all/report_all.txt": "3dba82109cc68acdeca715ee471b52a08ff55834dcdcd618c5eece9d5a5665bb",
     "riccati-five/reference.csv": "666d188a0cd2e44f859ce7b71b48fb3a38835725914a64cdc7c1e45489c880d4",
     "riccati-five/report.csv": "88bfbd7bb71420ce3380b5aaa3a7e58871981ae18a8c6838a83da523589c2f1b",
@@ -506,13 +508,13 @@ ARTIFACT_SHA256 = {
     "riccati-zero/report.csv": "cf070f13e5be26d810744df8dae66267d6f24a45064e5123e9529bab4f60fe4c",
     "riccati-zero/report.txt": "089be27709da934af6329440f5ae59f5e607f472c482f456d307b9d538912ae6",
     "riccati-zero/timeseries.svg": "86e37072519c6292b8314769dd4ec63a3e9597e605b3f17d0f393848d3e83ab4",
-    "sir-fast/reference.csv": "e9cc7a13d8456ce943a1aacb3ae32212f948fc6c6eaf257668fd7c1ea9db8d29",
-    "sir-fast/report.csv": "c7019c01a34573229141774f3053558fd8e181cdb019941399be0b9b914be2ca",
-    "sir-fast/report.txt": "8393fed2614121ec4c3f1a2b52be36f2d35af0775b47b34f349ec4c02c686262",
+    "sir-fast/reference.csv": "b6dd28e7013f979cb801a4e416fe6daa8ecfacc596f1c5e4056da378fa93fc21",
+    "sir-fast/report.csv": "e24eb725c26f2a5318e65ae7ac17bd421814f08ac86725f1a3b8279c40088146",
+    "sir-fast/report.txt": "0785682688e7587cd1c415b57d6b28127bafc7116dac0138daafd23790c3d3af",
     "sir-fast/timeseries.svg": "e1ff1f4378a33bf133c8cd644703412d3b8ffb7a5e65c7a420d803cf740be3d0",
-    "sir-slow/reference.csv": "be6f8aa849d0b178ba5496becbf22bcc00289f30d966e7d7c48652a0aab320da",
-    "sir-slow/report.csv": "8bc0ec148d0d774ccae1c6fd70820fe8235beab6f554affb4e5d58564c8f4b7b",
-    "sir-slow/report.txt": "e33ceb6d2fc0fe2b99c78db781e4607366b4bb1bbdbcab1a601e59ab23539c1d",
+    "sir-slow/reference.csv": "9620c68efb387096e54da123d8b3a313f907d21b35c713bbd0b1904f0e72558c",
+    "sir-slow/report.csv": "1719515375c108f387d7111090e91d8e94b1e9a8bf9b0d69fdca9675e265bac5",
+    "sir-slow/report.txt": "1466470e204e383e1f2ea958c85ac4ab41fca81918626abccf47df973ede769c",
     "sir-slow/timeseries.svg": "b2dc26b71611e03ab74a1850bf2b147b5772762cfe34a21b75f531039d1d7374",
 }
 
