@@ -121,6 +121,35 @@ def riccati_radii(y0: float, times) -> np.ndarray:
     return SQRT2 / 4.0 * np.hypot(re - 2.0 * SQRT2 * times, im)
 
 
+def _sum(values: list) -> float:
+    """``np.sum`` of 1 to 128 floats, bit for bit.  Up to 128 terms numpy's
+    pairwise order is: below 8 terms a plain sum from -0.0, else 8 running
+    sums over the largest multiple of 8, added as a tree, then the rest one
+    by one; the reduction adds that to its start, 0.0.  (Python's ``sum``
+    compensates its rounding from 3.12 on, so it cannot stand in.)"""
+    full = len(values) - len(values) % 8
+    if full:
+        acc = values[:8]
+        for i in range(8, full, 8):
+            acc = [a + v for a, v in zip(acc, values[i:i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    else:
+        total = -0.0
+    for v in values[full:]:
+        total += v
+    return 0.0 + total
+
+
+def _std(values: list) -> float:
+    """``np.std`` of 1 to 128 floats, bit for bit, without numpy's per-call
+    cost: the mean, the squared deviations, their mean and the correctly
+    rounded square root, as numpy's ``_var`` takes them."""
+    n = len(values)
+    mean = _sum(values) / n
+    deviations = [v - mean for v in values]
+    return math.sqrt(_sum([d * d for d in deviations]) / n)
+
+
 def estimate_radius(s: TruncatedSeries) -> RadiusReport:
     """Ratio-test radius estimate from the trailing coefficients.
 
@@ -138,17 +167,21 @@ def estimate_radius(s: TruncatedSeries) -> RadiusReport:
         raise ValueError("series order must be at least the window size")
     coeffs = s.coefficients
     n = s.order
+    # the coefficients the three spacings read, as floats for the zero test
+    start = max(0, n - window - 2)
+    tail = coeffs[start:].tolist()
     best = None
     for spacing in (1, 2, 3):
         lead = n - spacing - window + 1
         if lead < 0:
             continue
+        # a and b together cover these coefficients, since spacing < window
+        if 0.0 in tail[lead - start:lead - start + spacing + window]:
+            continue
         a = coeffs[lead:lead + window]
         b = coeffs[lead + spacing:lead + spacing + window]
-        if not (a.all() and b.all()):
-            continue
         ratios = np.abs(a / b) ** (1.0 / spacing)
-        spread = float(np.log(ratios).std())
+        spread = _std(np.log(ratios).tolist())
         if best is None or spread < best[0]:
             best = (spread, spacing, ratios)
     if best is None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -104,9 +105,11 @@ def multistage_taylor(
             "the step likely exceeds the local convergence radius",
             step_index=failed,
         )
+    dim = model.field.dimension
     return Trajectory(
         np.array(times),
-        np.array(states),
+        np.fromiter(chain.from_iterable(states), float,
+                    count=dim * len(states)).reshape(-1, dim),
         "multistage",
         meta={"order": order, "step": step, "t_end": t_end},
     )

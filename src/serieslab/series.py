@@ -33,7 +33,7 @@ class TruncatedSeries:
         coeffs = np.asarray(self.coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ValueError("coefficients must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite")
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
@@ -45,14 +45,17 @@ class TruncatedSeries:
 
 
 def eval_series(s: TruncatedSeries, t):
-    """Evaluate the series at t (scalar or array) in Horner form."""
+    """Evaluate the series at t (scalar or array) in Horner form.  Summed
+    far past its radius a series leaves the float range: those values are
+    +-inf, with no overflow warning."""
     t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("evaluation point must be finite")
     result = np.zeros_like(t)
-    for c in s.coefficients[::-1].tolist():
-        result *= t
-        result += c
+    with np.errstate(over="ignore"):
+        for c in s.coefficients[::-1].tolist():
+            np.multiply(result, t, result)
+            np.add(result, c, result)
     if result.ndim == 0:
         return float(result)
     return result
@@ -91,6 +94,11 @@ KERNEL_MAX_ORDER = 11
 
 #: any state beyond this magnitude is treated as divergence, not data
 DIVERGENCE_LIMIT = 1e12
+
+#: ``np.correlate`` without its ``__array_function__`` dispatch, which
+#: costs more than a short correlate itself; the recursion passes only
+#: plain float arrays, so the same C call runs on the same operands
+_correlate = getattr(np.correlate, "__wrapped__", np.correlate)
 
 
 def _recursion_lines(shape, order: int, indent: str):
@@ -244,7 +252,7 @@ def straight_line_path(shape, order: int):
 @lru_cache(maxsize=128)
 def recursion_loop(shape):
     """The compiled recursion for a ``ProductPlan.shape``: ``loop(w,
-    state values, plan.coefficients, order, np.correlate)``.  The order is
+    state values, plan.coefficients, order, _correlate)``.  The order is
     an argument and the result is cached, so one compile serves every
     field and order of a family."""
     return _compile(_loop_source(shape), "loop", "taylor loop")
@@ -273,7 +281,7 @@ def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.n
     w[:dim, 0] = state
     w[dim, 0] = 1.0
     recursion_loop(plan.shape)(w, state.tolist(), plan.coefficients, order,
-                               np.correlate)
+                               _correlate)
     return w[:dim]
 
 

@@ -162,10 +162,15 @@ class LinePlot:
         out.append('<g clip-path="url(#box)">')
         for x, y, _label, color, dash in self.curves:
             # whole-curve arithmetic rounds each element as the scalar
-            # formula would; only the formatting stays per point
-            finite = (np.isfinite(x) & np.isfinite(y)).tolist()
+            # formula would; only the formatting stays per point.  A point
+            # far outside the limits, or limits wider than the float range,
+            # can map to a non-finite pixel: the curve breaks there as at a
+            # non-finite data point
+            with np.errstate(over="ignore", invalid="ignore"):
+                xs, ys = sx(x), sy(y)
+            finite = (np.isfinite(xs) & np.isfinite(ys)).tolist()
             pts = []
-            for keep, px, py in zip(finite, sx(x).tolist(), sy(y).tolist()):
+            for keep, px, py in zip(finite, xs.tolist(), ys.tolist()):
                 if keep:
                     pts.append(f"{px:.2f},{py:.2f}")
                 else:

@@ -15,6 +15,8 @@ from serieslab.convergence import (
     NotEstimableError,
     RadiusReport,
     _stationary_gaps,
+    _std,
+    _sum,
     estimate_radius,
     riccati_radii,
     riccati_radius,
@@ -302,6 +304,45 @@ def test_radii_equal_the_radius_of_the_state_reached(y0):
     fresh = np.array([riccati_radius(riccati_exact(y0, float(t))).radius
                       for t in ts])
     assert np.all(np.abs(riccati_radii(y0, ts) - fresh) <= 1e-12 * fresh)
+
+
+# -- the float spread against numpy's --------------------------------------------
+
+def float_bits(x):
+    """The bits of a float, with every NaN alike (numpy's NaN may carry
+    another sign)."""
+    return "nan" if math.isnan(x) else x.hex()
+
+
+def assert_sum_and_std_match_numpy(values):
+    array = np.array(values, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_sum, want_std = float(np.sum(array)), float(np.std(array))
+    assert float_bits(_sum(list(values))) == float_bits(want_sum)
+    assert float_bits(_std(list(values))) == float_bits(want_std)
+
+
+@given(st.lists(st.one_of(st.floats(-1e300, 1e300),
+                          st.floats(-1e-300, 1e-300),
+                          st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324])),
+                min_size=1, max_size=128))
+@settings(max_examples=400, deadline=None)
+def test_float_sum_and_std_match_numpy(values):
+    assert_sum_and_std_match_numpy(values)
+
+
+def test_float_sum_and_std_match_numpy_at_every_length():
+    # each length meets another split of numpy's pairwise order: a plain
+    # sum below 8 terms, else 8 running sums and a tail of length % 8
+    rng = np.random.default_rng(2009)
+    for length in range(1, 129):
+        for _ in range(10):
+            magnitudes = 10.0 ** rng.integers(-200, 200, length)
+            assert_sum_and_std_match_numpy(
+                (rng.standard_normal(length) * magnitudes).tolist())
+            assert_sum_and_std_match_numpy(np.log(rng.uniform(0.5, 2.0, length)).tolist())
+        assert_sum_and_std_match_numpy([-0.0] * length)
+        assert_sum_and_std_match_numpy([1e308] * length)
 
 
 # -- the ratio test against the array version ---------------------------------

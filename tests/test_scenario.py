@@ -568,6 +568,47 @@ def test_conserved_drift_bound_scales_with_the_rates(tmp_path):
     assert slow.rows[0].criterion == "computed <= 1e-06"
 
 
+STIFF_SIR = """\
+[scenario]
+name = stiff-sir
+model = sir
+
+[model]
+initial_state = 69607, 22521, 9.3
+
+[model.params]
+beta = 1617
+gamma = 2.07
+
+[grid]
+t_end = 0.108
+samples = 201
+
+[analyses]
+items = radius
+"""
+
+
+@pytest.mark.parametrize("case, tol, criterion", [
+    ("sir-fast", REFERENCE_TOL, "computed <= 1e-08"),
+    ("sir-slow", REFERENCE_TOL, "computed <= 1e-08"),
+    ("sir-fast", 1e-3, "computed <= 0.034"),
+    ("stiff", REFERENCE_TOL, "computed <= 9.21373e-06"),
+])
+def test_population_drift_bound_scales_with_the_total_and_the_tolerance(
+        case, tol, criterion, tmp_path):
+    # x and y are solved in ln u, so x + y + z drifts by the solve's error:
+    # 5.8e-5 at --tol 1e-3, and 1.04e-8 (1.1e-13 of the total) on the stiff
+    # epidemic.  The presets keep the absolute 1e-8.
+    config = validate_config(STIFF_SIR) if case == "stiff" else load_preset(case)
+    report = run_scenario(config, tmp_path, fmt="csv", tol=tol)
+    row = {row.quantity: row for row in report.rows}["reference_population_drift"]
+    assert row.criterion == criterion
+    assert row.passed
+    # the absolute 1e-8 failed exactly the two solves that are not presets
+    assert (row.computed > 1e-8) == (criterion != "computed <= 1e-08")
+
+
 DIVERGING_RICCATI = """\
 [scenario]
 name = riccati-wide-steps
@@ -702,6 +743,64 @@ def test_die_out_below_the_smallest_float_becomes_an_error_row(tmp_path):
     assert row.source.startswith(
         "error: ArithmeticError: die-out point x0*exp(-6e+08) lies below the smallest float")
     assert all(other.passed for other in report.rows if other is not row)
+
+
+FAR_RICCATI = """\
+[scenario]
+name = far-riccati
+model = riccati
+
+[model]
+initial_state = 0.0
+
+[series]
+order = 400
+
+[grid]
+t_end = 20.0
+samples = 401
+
+[analyses]
+items = radius
+"""
+
+FAR_LV = """\
+[scenario]
+name = far-lv
+model = lotka_volterra
+
+[model]
+initial_state = 1.0, 2.5
+
+[model.params]
+a = 3.0
+b = 2.0
+c = 1.5
+d = 0.7
+
+[series]
+order = 300
+
+[grid]
+t_end = 12.0
+samples = 601
+
+[analyses]
+items = radius
+"""
+
+
+@pytest.mark.parametrize("text", [FAR_RICCATI, FAR_LV], ids=["riccati", "lv"])
+def test_series_summed_past_its_radius_leaves_the_float_range_quietly(text, tmp_path):
+    # summed to t_end, far past radii near 1.27 and 0.79, the series leave
+    # the float range: series.csv holds the infinities, the plot breaks its
+    # curve there, and no RuntimeWarning (an error in this suite) escapes
+    path = tmp_path / "far.ini"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    [directory] = (tmp_path / "out").iterdir()
+    assert "inf" in (directory / "series.csv").read_text()
+    assert "inf" not in (directory / "timeseries.svg").read_text()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -475,6 +475,21 @@ def test_compiled_loop_handles_constants_zero_coefficients_and_chains(state):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("family", ["riccati", "lotka_volterra", "sir"])
+def test_recursion_never_calls_the_dispatched_correlate(family, monkeypatch):
+    # the recursion binds the function np.correlate dispatches to, so no
+    # product coefficient pays for numpy's __array_function__ dispatch
+    model = seeded_model(family, 7)
+    want = plan_loop_taylor_coefficients(model.field, model.initial_state, 90)
+
+    def dispatched(*args, **kwargs):
+        raise AssertionError("the recursion called np.correlate")
+
+    monkeypatch.setattr(np, "correlate", dispatched)
+    got = taylor_coefficients(model.field, model.initial_state, 90)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_one_compiled_loop_serves_a_family_at_every_order():
     slow = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [3.0, 2.0])
     fast = make_model("lotka_volterra", dict(a=2.5, b=0.3, c=1.7, d=0.9), [1.0, 4.0])
@@ -534,3 +549,18 @@ def test_horner_keeps_signed_zeros_and_grid_shapes():
         want = array_horner(s, t)
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_horner_past_the_float_range_returns_inf_without_a_warning():
+    # the order-400 Riccati series from 0 summed to t = 20, far beyond its
+    # radius 1.27: the partial sums leave the float range, which is the
+    # failure the series is meant to show, not a numpy warning
+    s = generate_taylor_solution(build_riccati(0.0), 400).components[0]
+    grid = np.linspace(0.0, 20.0, 401)
+    values = eval_series(s, grid)
+    assert np.isfinite(values[grid <= 1.0]).all()
+    assert np.isinf(values).sum() > 100
+    assert eval_series(s, 20.0) in (math.inf, -math.inf)
+    with np.errstate(over="ignore"):
+        want = array_horner(s, grid)
+    assert values.tobytes() == want.tobytes()

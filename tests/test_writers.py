@@ -65,7 +65,8 @@ def oracle_write_csv(path, columns, rows, meta=None) -> Path:
 
 
 def oracle_render(self) -> str:
-    """``LinePlot.render`` mapping one point at a time."""
+    """``LinePlot.render`` mapping one point at a time.  A curve breaks at a
+    non-finite data point and at a pixel coordinate past the float range."""
     left, right, top, bottom = 72, 18, 42, 56
     bw = self.width - left - right
     bh = self.height - top - bottom
@@ -132,9 +133,11 @@ def oracle_render(self) -> str:
     out.append('<g clip-path="url(#box)">')
     for x, y, _label, color, dash in self.curves:
         pts = []
-        for xv, yv in zip(x, y):
-            if math.isfinite(xv) and math.isfinite(yv):
-                pts.append(f"{sx(xv):.2f},{sy(yv):.2f}")
+        for xv, yv in zip(x.tolist(), y.tolist()):
+            # Python floats overflow to inf with no warning
+            px, py = sx(xv), sy(yv)
+            if all(map(math.isfinite, (xv, yv, px, py))):
+                pts.append(f"{px:.2f},{py:.2f}")
             else:
                 if len(pts) > 1:
                     self._emit_polyline(out, pts, color, dash)
@@ -231,7 +234,6 @@ def test_plot_write_creates_its_directory(tmp_path):
     assert path.read_text(encoding="utf-8") == plot.render()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_render_matches_per_point_oracle_on_huge_values():
     plot = LinePlot("huge", "x", "y")
     plot.add_curve([0.0, 1.0, 2.0, 3.0, 4.0],
@@ -241,6 +243,20 @@ def test_render_matches_per_point_oracle_on_huge_values():
     plot.set_xlim(0.0, 4.0)
     plot.set_ylim(-1.0, 1.0)
     assert plot.render() == oracle_render(plot)
+
+
+def test_a_point_mapped_past_the_float_range_breaks_the_curve():
+    # 1e308 inside limits of (0, 5) maps to a pixel beyond the float range:
+    # no inf reaches the points, and no overflow warning escapes
+    plot = LinePlot("overflow", "x", "y")
+    plot.set_xlim(0.0, 2.0)
+    plot.set_ylim(0.0, 5.0)
+    plot.add_curve([0.0, 1.0, 2.0, 3.0], [1.0, 1e308, 2.0, 3.0], "curve")
+    svg = plot.render()
+    assert "inf" not in svg and "nan" not in svg
+    assert svg.count("<polyline") == 1
+    assert 'points="742.00,295.20 1077.00,210.80"' in svg
+    assert svg == oracle_render(plot)
 
 
 @pytest.mark.parametrize("curves, polylines", [
