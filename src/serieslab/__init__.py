@@ -60,7 +60,6 @@ from .series import (
     eval_series,
     generate_taylor_solution,
     taylor_coefficients,
-    taylor_path,
 )
 
 __version__ = "0.1.0"

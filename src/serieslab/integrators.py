@@ -22,7 +22,7 @@ import numpy as np
 
 from .models import MODELS, ModelInstance
 from .series import (DIVERGENCE_LIMIT, SeriesSolution, _compile, eval_series,
-                     taylor_path)
+                     stage_loop)
 
 PROVENANCES = ("series", "multistage", "reference")
 
@@ -93,11 +93,18 @@ def multistage_taylor(
     exactly on ``t_end``).  Local error per stage is O(step**(order+1))
     while the step stays inside the local convergence radius; beyond it
     the iteration degrades fast and usually trips the divergence guard.
+    The order must be at least 2, the step positive and ``t_end``
+    positive and finite; the stages run in ``series.stage_loop``.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    times, states, failed = taylor_path(model.field, model.initial_state, order,
-                                        step, t_end)
+    if not step > 0:
+        raise ValueError("step must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    plan = model.field.plan
+    times, states, failed = stage_loop(plan.shape, order)(
+        model.initial_state.tolist(), plan.coefficients, step, t_end)
     if failed is not None:
         t = times[-1]
         raise DivergenceError(
@@ -335,8 +342,8 @@ def reference_integrate(
     lo, hi = TOL_RANGE
     if not (lo <= tol <= hi):
         raise ValueError(f"tol must lie in [{lo:g}, {hi:g}]")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     if grid is None:
         grid = np.linspace(0.0, t_end, 401)
     else:

@@ -84,11 +84,11 @@ class SeriesSolution:
         return self.components[0].order
 
 
-#: highest order the compiled stage loop of ``taylor_path`` runs.  At
-#: order N a product coefficient adds at most N terms.  numpy's valid-mode
-#: correlate, which ``recursion_loop`` calls, adds up to 11 terms one by
-#: one from 0.0 as the stage loop does, and 12 or more in another order,
-#: so only up to order 11 do the stage loop and the recursion round alike.
+#: highest order whose ``stage_loop`` is compiled.  At order N a product
+#: coefficient adds at most N terms.  numpy's valid-mode correlate, which
+#: ``recursion_loop`` calls, adds up to 11 terms one by one from 0.0 as the
+#: compiled loop does, and 12 or more in another order, so only up to
+#: order 11 do the compiled loop and the recursion round alike.
 KERNEL_MAX_ORDER = 11
 
 
@@ -136,14 +136,18 @@ def _recursion_lines(shape, order: int, indent: str):
 
 
 def _path_source(shape, order: int) -> str:
-    """``path(state, coefficients, step, t_end)``: the whole stage loop of
-    ``taylor_path``, returning (times, states, failed stage or None).
+    """``path(state, coefficients, step, t_end)``: the compiled stage loop
+    of ``stage_loop``, from t = 0 to ``t_end``.  It returns (times,
+    states, failed): lists of the stage times and state tuples up to the
+    last good stage, and the index of the stage whose state left
+    [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] (NaN included), or None.
 
-    Per stage: the step ``min(step, t_end - t)``, the recursion, Horner
-    from 0.0 (so a -0.0 start steps to +0.0), the divergence guard, then
-    ``t + dt``; the same float operations in the same order as the loop
-    over ``taylor_coefficients``.  ``-limit <= v <= limit`` is False for
-    NaN and both infinities, as ``abs(v) <= limit`` is.
+    Per stage: the step ``min(step, t_end - t)``, so the last stage lands
+    exactly on ``t_end``, the recursion, Horner from 0.0 (so a -0.0 start
+    steps to +0.0), the divergence guard, then ``t + dt``; the same float
+    operations in the same order as ``stage_loop``'s loop over the
+    recursion.  ``-limit <= v <= limit`` is False for NaN and both
+    infinities, as ``abs(v) <= limit`` is.
     """
     dim = shape[0]
     names, body, u = _recursion_lines(shape, order, "        ")
@@ -240,16 +244,6 @@ def _compile(source: str, name: str, label: str, **names):
 
 
 @lru_cache(maxsize=128)
-def straight_line_path(shape, order: int):
-    """The compiled stage loop of ``taylor_path`` for a
-    ``ProductPlan.shape`` and an order:
-    ``path(state values, plan.coefficients, step, t_end)``.  Cached, so
-    one compile serves every field of a family."""
-    return _compile(_path_source(shape, order), "path",
-                    f"taylor path, order {order}")
-
-
-@lru_cache(maxsize=128)
 def recursion_loop(shape):
     """The compiled recursion for a ``ProductPlan.shape``: ``loop(w,
     state values, plan.coefficients, order, _correlate)``.  The order is
@@ -273,65 +267,60 @@ def taylor_coefficients(field: PolynomialVectorField, state, order: int) -> np.n
     if state.shape != (field.dimension,):
         raise ValueError("state length must equal the field dimension")
     plan = field.plan
-    dim = field.dimension
+    return _recursion(plan.shape, plan.coefficients, state.tolist(), order)
+
+
+def _recursion(shape, coefficients, state, order: int) -> np.ndarray:
+    """``taylor_coefficients`` for a plan shape, its coefficients and the
+    state values, unchecked."""
+    dim, rows, _ = shape
     # one row per operand of the plan: the state variables, the constant
     # 1 (the series 1, 0, 0, ..., so a constant monomial adds only at
     # k = 0), then the product rows
-    w = np.zeros((dim + 1 + len(plan.rows), order + 1))
+    w = np.zeros((dim + 1 + len(rows), order + 1))
     w[:dim, 0] = state
     w[dim, 0] = 1.0
-    recursion_loop(plan.shape)(w, state.tolist(), plan.coefficients, order,
-                               _correlate)
+    recursion_loop(shape)(w, state, coefficients, order, _correlate)
     return w[:dim]
 
 
-def taylor_path(field: PolynomialVectorField, state, order: int, step: float,
-                t_end: float):
-    """Piecewise series stepping of u' = P(u) from ``state`` at t = 0.
-
-    Each stage expands the order-``order`` series about the current state
-    and evaluates it, in Horner form, at ``min(step, t_end - t)``, so the
-    last stage lands exactly on ``t_end``.  Returns ``(times, states,
-    failed)``: lists of the stage times and state tuples up to the last
-    good stage, and the index of the stage whose state left
-    [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] (NaN included), or None.
-    Orders up to ``KERNEL_MAX_ORDER`` run the plan's compiled stage loop,
-    higher ones a loop over ``taylor_coefficients``; both round alike.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if not step > 0:
-        raise ValueError("step must be positive")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    state = np.asarray(state, dtype=float)
-    if state.shape != (field.dimension,):
-        raise ValueError("state length must equal the field dimension")
-    plan = field.plan
+@lru_cache(maxsize=128)
+def stage_loop(shape, order: int):
+    """The stage loop of piecewise series stepping for a
+    ``ProductPlan.shape`` and an order: ``path(state values,
+    plan.coefficients, step, t_end)``, returning (times, states, failed
+    stage or None) as _path_source describes.  Orders up to
+    ``KERNEL_MAX_ORDER`` get the compiled loop, higher ones a loop over
+    the recursion; both round alike.  Cached, so one loop serves every
+    field of a family."""
     if order <= KERNEL_MAX_ORDER:
-        path = straight_line_path(plan.shape, order)
-        return path(state.tolist(), plan.coefficients, step, t_end)
-    times = [0.0]
-    states = [tuple(state.tolist())]
-    t = 0.0
-    index = 0
-    while t < t_end:
-        dt = min(step, t_end - t)
-        nxt = []
-        for row in taylor_coefficients(field, states[-1], order).tolist():
-            # Horner from 0.0, so a -0.0 start steps to +0.0
-            value = 0.0
-            for c in reversed(row):
-                value = value * dt + c
-            nxt.append(value)
-        # the comparison is False for NaN and inf as well
-        if not all(abs(value) <= DIVERGENCE_LIMIT for value in nxt):
-            return times, states, index
-        t = t + dt
-        times.append(t)
-        states.append(tuple(nxt))
-        index += 1
-    return times, states, None
+        return _compile(_path_source(shape, order), "path",
+                        f"taylor path, order {order}")
+
+    def path(state, coefficients, step, t_end):
+        times = [0.0]
+        states = [tuple(state)]
+        t = 0.0
+        index = 0
+        while t < t_end:
+            dt = min(step, t_end - t)
+            nxt = []
+            for row in _recursion(shape, coefficients, states[-1], order).tolist():
+                # Horner from 0.0, so a -0.0 start steps to +0.0
+                value = 0.0
+                for c in reversed(row):
+                    value = value * dt + c
+                nxt.append(value)
+            # the comparison is False for NaN and inf as well
+            if not all(abs(value) <= DIVERGENCE_LIMIT for value in nxt):
+                return times, states, index
+            t = t + dt
+            times.append(t)
+            states.append(tuple(nxt))
+            index += 1
+        return times, states, None
+
+    return path
 
 
 def generate_taylor_solution(model: ModelInstance, order: int) -> SeriesSolution:

@@ -31,9 +31,8 @@ from serieslab.series import (
     _path_source,
     eval_series,
     generate_taylor_solution,
-    straight_line_path,
+    stage_loop,
     taylor_coefficients,
-    taylor_path,
 )
 
 
@@ -111,6 +110,8 @@ def test_multistage_argument_validation():
         multistage_taylor(model, 5, 0.0, 1.0)
     with pytest.raises(ValueError):
         multistage_taylor(model, 5, 0.1, -1.0)
+    with pytest.raises(ValueError):
+        multistage_taylor(model, 5, 0.1, math.inf)
 
 
 def test_multistage_order_convergence_under_step_halving():
@@ -184,6 +185,8 @@ def test_reference_tolerance_bounds():
         reference_integrate(model, 1.0, 1e-2)
     with pytest.raises(ValueError):
         reference_integrate(model, -1.0, 1e-10)
+    with pytest.raises(ValueError):
+        reference_integrate(model, math.inf, 1e-10)
 
 
 def test_reference_grid_validation():
@@ -700,7 +703,7 @@ def cubic_model(start=(0.3, -0.2)):
 
 
 # orders 2-13: the compiled stage loop up to KERNEL_MAX_ORDER, the loop over
-# taylor_coefficients above it
+# the recursion above it
 @pytest.mark.parametrize("order", range(2, KERNEL_MAX_ORDER + 3))
 @pytest.mark.parametrize("model_fn, step, t_end", [
     (lambda: build_riccati(0.0), 0.2, 6.0),
@@ -740,12 +743,15 @@ def test_path_above_the_cut_off_rounds_as_the_array_loop(order):
     # steps near the local radius weigh the top coefficients, where a sum
     # of 12 or more terms added one by one rounds unlike np.correlate's
     model = make_model("lotka_volterra", dict(a=0.84, b=0.72, c=3.0, d=0.23), [3.5, 4.4])
-    times, states, failed = taylor_path(model.field, model.initial_state, order,
-                                        0.4, 10.0)
-    want_times, want_states, failure = reference_stages(model, order, 0.4, 10.0)
-    assert np.array(times).tobytes() == want_times.tobytes()
-    assert np.array(states).tobytes() == want_states.tobytes()
-    assert failed == (failure[0] if failure else None)
+    times, states, failure = reference_stages(model, order, 0.4, 10.0)
+    if failure is not None:
+        with pytest.raises(DivergenceError) as info:
+            multistage_taylor(model, order, 0.4, 10.0)
+        assert info.value.step_index == failure[0]
+    # the good stages: up to the one before the guard trips, if it does
+    tr = multistage_taylor(model, order, 0.4, float(times[-1]))
+    assert tr.times.tobytes() == times.tobytes()
+    assert tr.states.tobytes() == states.tobytes()
 
 
 def test_stage_path_at_order_200_tracks_its_oracle():
@@ -763,9 +769,9 @@ def test_stage_path_at_order_200_tracks_its_oracle():
 def test_one_compiled_path_serves_a_family():
     slow = make_model("lotka_volterra", dict(a=1.0, b=1.0, c=1.0, d=1.0), [3.0, 2.0])
     fast = make_model("lotka_volterra", dict(a=2.5, b=0.3, c=1.7, d=0.9), [1.0, 4.0])
-    straight_line_path.cache_clear()
+    stage_loop.cache_clear()
     paths = [multistage_taylor(model, 7, 0.05, 2.0) for model in (slow, fast)]
-    info = straight_line_path.cache_info()
+    info = stage_loop.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert not np.array_equal(paths[0].states, paths[1].states)
     for model, tr in zip((slow, fast), paths):

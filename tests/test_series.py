@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from serieslab.convergence import estimate_radius
 from serieslab.exact import riccati_exact
-from serieslab.integrators import reference_integrate
+from serieslab.integrators import multistage_taylor, reference_integrate
 from serieslab.models import (MODELS, Monomial, PolynomialVectorField, build_riccati,
                               make_model)
 from serieslab.scenario import load_preset, preset_names
@@ -220,9 +220,10 @@ def test_sir_series_conserves_population_per_order():
 def mpmath_taylor_coefficients(spec, params, state, order):
     """The Taylor recursion at 50 digits, read straight from the family's
     ``equations``: each monomial's factors multiplied left to right as
-    series, every product series grown by one coefficient per order."""
+    series, every product series grown by one coefficient per order.  The
+    ``state`` values, floats or mpf, are taken exactly."""
     with mpmath.workdps(50):
-        coef = [[mpmath.mpf(float(v))] for v in state]
+        coef = [[mpmath.mpf(v)] for v in state]
         equations = []
         for eq in spec.equations:
             monomials = []
@@ -272,6 +273,42 @@ def test_coefficients_match_the_mpmath_recursion_to_order_120(preset):
                 error = abs(mpmath.mpf(value) - w)
                 assert error <= 1e-14 * largest
                 assert error <= 1e-11 * abs(w)
+
+
+def mpmath_stages(model, order, step, stages):
+    """The multistage loop at 50 digits: each stage re-expands the series
+    about the last 50-digit state with ``mpmath_taylor_coefficients`` and
+    sums it by Horner at ``step``."""
+    with mpmath.workdps(50):
+        state = model.initial_state.tolist()
+        out = []
+        for _ in range(stages):
+            state = [mpmath.polyval(row[::-1], mpmath.mpf(step)) for row in
+                     mpmath_taylor_coefficients(model.spec, model.params, state, order)]
+            out.append(state)
+        return out
+
+
+# steps are about a quarter of the radius at the start (1.27, 0.74 and
+# 0.148 by the ratio test) and exact binary fractions, so every float
+# stage time is exact and every stage, the last one too, steps by ``step``
+@pytest.mark.parametrize("order", [KERNEL_MAX_ORDER + 1, 20, 30])
+@pytest.mark.parametrize("model_fn, step", [
+    (lambda: build_riccati(0.0), 0.3125),
+    (lv_case_v, 0.1875),
+    (sir_fast, 0.03125),
+], ids=["riccati", "lotka_volterra", "sir"])
+def test_stages_above_the_cut_off_match_a_50_digit_stage_loop(model_fn, step, order):
+    # measured over these cases: the worst error of a stage state is
+    # 2.3e-16 of its component (sir, order 20); bounded at 1e-15
+    model = model_fn()
+    stages = 8
+    tr = multistage_taylor(model, order, step, stages * step)
+    assert tr.times.tolist() == [k * step for k in range(stages + 1)]
+    exact = mpmath_stages(model, order, step, stages)
+    for row, want in zip(tr.states[1:].tolist(), exact):
+        for value, w in zip(row, want):
+            assert abs(mpmath.mpf(value) - w) <= 1e-15 * abs(w)
 
 
 # -- the product plan against the nested-loop recursion ----------------------
