@@ -26,7 +26,8 @@ MULTISTAGE_RADIUS_FLOOR = SQRT2 * math.pi / 4.0
 #: the rounding of the float state out
 NEAR_STATIONARY = 1.0 / 16.0
 
-#: trailing coefficient pairs the ratio test reads, so the least order
+#: trailing coefficient pairs the ratio test reads, so the least order;
+#: its spread (_std8) and median take exactly 8 values
 RATIO_WINDOW = 8
 
 
@@ -121,33 +122,19 @@ def riccati_radii(y0: float, times) -> np.ndarray:
     return SQRT2 / 4.0 * np.hypot(re - 2.0 * SQRT2 * times, im)
 
 
-def _sum(values: list) -> float:
-    """``np.sum`` of 1 to 128 floats, bit for bit.  Up to 128 terms numpy's
-    pairwise order is: below 8 terms a plain sum from -0.0, else 8 running
-    sums over the largest multiple of 8, added as a tree, then the rest one
-    by one; the reduction adds that to its start, 0.0.  (Python's ``sum``
-    compensates its rounding from 3.12 on, so it cannot stand in.)"""
-    full = len(values) - len(values) % 8
-    if full:
-        acc = values[:8]
-        for i in range(8, full, 8):
-            acc = [a + v for a, v in zip(acc, values[i:i + 8])]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    else:
-        total = -0.0
-    for v in values[full:]:
-        total += v
-    return 0.0 + total
+def _sum8(v: list) -> float:
+    """``np.sum`` of 8 floats, bit for bit: numpy's pairwise order for 8
+    terms is one tree, added to the reduction's start, 0.0.  (Python's
+    ``sum`` compensates its rounding from 3.12 on, so it cannot stand in.)"""
+    return 0.0 + (((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7])))
 
 
-def _std(values: list) -> float:
-    """``np.std`` of 1 to 128 floats, bit for bit, without numpy's per-call
-    cost: the mean, the squared deviations, their mean and the correctly
-    rounded square root, as numpy's ``_var`` takes them."""
-    n = len(values)
-    mean = _sum(values) / n
-    deviations = [v - mean for v in values]
-    return math.sqrt(_sum([d * d for d in deviations]) / n)
+def _std8(values: list) -> float:
+    """``np.std`` of 8 floats, bit for bit, without numpy's per-call cost:
+    the mean, the squared deviations, their mean and the correctly rounded
+    square root, as numpy's ``_var`` takes them."""
+    mean = _sum8(values) / 8
+    return math.sqrt(_sum8([(v - mean) * (v - mean) for v in values]) / 8)
 
 
 def estimate_radius(s: TruncatedSeries) -> RadiusReport:
@@ -181,7 +168,7 @@ def estimate_radius(s: TruncatedSeries) -> RadiusReport:
         a = coeffs[lead:lead + window]
         b = coeffs[lead + spacing:lead + spacing + window]
         ratios = np.abs(a / b) ** (1.0 / spacing)
-        spread = _std(np.log(ratios).tolist())
+        spread = _std8(np.log(ratios).tolist())
         if best is None or spread < best[0]:
             best = (spread, spacing, ratios)
     if best is None:
@@ -190,11 +177,9 @@ def estimate_radius(s: TruncatedSeries) -> RadiusReport:
         )
     spread, spacing, ratios = best
     r = sorted(ratios.tolist())
-    # np.median's value: the middle sample, or the mean of the middle two
-    h = window // 2
-    median = r[h] if window % 2 else (r[h - 1] + r[h]) / 2
     return RadiusReport(
-        median,
+        # np.median's value: the mean of the middle two
+        (r[3] + r[4]) / 2,
         f"median spaced ratio, window={window}, spacing={spacing}, "
         f"ratio spread [{r[0]:.4g}, {r[-1]:.4g}]",
     )

@@ -26,6 +26,12 @@ from .series import (DIVERGENCE_LIMIT, SeriesSolution, _compile, eval_series,
 
 PROVENANCES = ("series", "multistage", "reference")
 
+#: the largest t_end / step of piecewise series stepping: at 1.6-3.7 us
+#: and about 250 bytes a stage below order 9 (32 us at order 20), at most
+#: about 0.4 s and 25 MB there, where the presets take 50 stages; and each
+#: step stays far above an ulp of t, so every stage advances t
+MAX_STAGES = 100_000
+
 
 class DivergenceError(ArithmeticError):
     """A multistage step produced a non-finite or absurdly large state."""
@@ -93,8 +99,9 @@ def multistage_taylor(
     exactly on ``t_end``).  Local error per stage is O(step**(order+1))
     while the step stays inside the local convergence radius; beyond it
     the iteration degrades fast and usually trips the divergence guard.
-    The order must be at least 2, the step positive and ``t_end``
-    positive and finite; the stages run in ``series.stage_loop``.
+    The order must be at least 2, the step positive, ``t_end`` positive
+    and finite and ``t_end / step`` at most ``MAX_STAGES``; the stages
+    run in ``series.stage_loop``.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -102,6 +109,8 @@ def multistage_taylor(
         raise ValueError("step must be positive")
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
+    if t_end / step > MAX_STAGES:
+        raise ValueError(f"t_end / step must be at most {MAX_STAGES}")
     plan = model.field.plan
     times, states, failed = stage_loop(plan.shape, order)(
         model.initial_state.tolist(), plan.coefficients, step, t_end)

@@ -42,6 +42,7 @@ from .exact import (
 )
 from .figures import artifact_writer, polyline_self_intersects
 from .integrators import (
+    MAX_STAGES,
     REFERENCE_TOL,
     lv_closed_orbit,
     multistage_taylor,
@@ -179,6 +180,9 @@ def validate_config(raw: str):
         scalars[field] = number(field, text, cast)
         if scalars[field] is not None and scalars[field] < least:
             errors.append(f"{field}: {rule}")
+    step, t_end = scalars.get("multistage.step"), scalars["grid.t_end"]
+    if step and t_end and t_end / step > MAX_STAGES:
+        errors.append(f"multistage.step: t_end / step must be at most {MAX_STAGES}")
 
     analyses_text = parser.get("analyses", "items", fallback="")
     analyses = tuple(a.strip() for a in analyses_text.split(",") if a.strip())
@@ -254,9 +258,8 @@ def _endpoint_limit(rho, x):
 
     The root is located to ENDPOINT_TOL relative in x (in s = ln(x/x0)),
     so the residual scales with the slope rho - x of the equation in s,
-    with a factor 10 to spare.  Above x = 1 the bound is that of a root
-    located to ENDPOINT_TOL absolute in x, the tighter of the two."""
-    return max(1e-9, 10 * ENDPOINT_TOL * abs(rho - x) / max(1.0, x))
+    with a factor 10 to spare."""
+    return max(1e-9, 10 * ENDPOINT_TOL * abs(rho - x))
 
 
 def _run(compute):

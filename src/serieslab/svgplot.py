@@ -33,6 +33,8 @@ def nice_ticks(lo: float, hi: float) -> list[float]:
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-9 * step else v)
+        if v + step == v:  # a span of an ulp or so: the ladder cannot climb
+            break
         v += step
     return ticks
 

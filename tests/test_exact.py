@@ -339,6 +339,14 @@ def sir_roots_50_digits(beta, gamma, x0, y0):
         return roots
 
 
+def endpoint_tol_bound(root, x0):
+    """The relative error in x that sir_endpoints promises for a root:
+    ``tol`` = 1e-12 in s = ln(x/x0), plus the rounding of s in x =
+    x0*exp(s), up to |s|*eps, with room to spare."""
+    s = abs(float(mpmath.log(root / x0)))
+    return 1e-12 + 4 * np.finfo(float).eps * (s + 1)
+
+
 #: largest relative error against sir_roots_50_digits, measured at 1.2e-15
 #: (sir-slow x_limit); x = x0*exp(s) carries the rounding of s, up to
 #: |s|*eps, which is 1.1e-14 for the roots near 1e-21
@@ -390,9 +398,7 @@ def test_endpoints_sweep_matches_a_50_digit_oracle(log_beta, log_gamma, log_x0, 
     got = [ends.x_limit] + ([ends.x_over] if ends.epidemic_occurs else [])
     assert len(got) == len(exact)
     for value, root in zip(got, exact):
-        s = abs(float(mpmath.log(root / x0)))
-        bound = 1e-12 + 4 * np.finfo(float).eps * (s + 1)
-        assert float(abs(value - root) / root) < bound
+        assert float(abs(value - root) / root) < endpoint_tol_bound(root, x0)
 
 
 def test_endpoints_below_the_smallest_float_raise():

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from conftest import run_in_child
+
 import serieslab.integrators
 from serieslab.exact import lv_conserved, riccati_exact, sir_endpoints
 from serieslab.integrators import (
     DIVERGENCE_LIMIT,
+    MAX_STAGES,
     DivergenceError,
     IntegrationError,
     Trajectory,
@@ -112,6 +115,24 @@ def test_multistage_argument_validation():
         multistage_taylor(model, 5, 0.1, -1.0)
     with pytest.raises(ValueError):
         multistage_taylor(model, 5, 0.1, math.inf)
+    # below half an ulp of t a step no longer moves t: the stage cap turns
+    # that endless loop into an error before it starts (in a child, so
+    # that a loop that does start fails this test, not the suite)
+    assert run_in_child(
+        "from serieslab.integrators import multistage_taylor\n"
+        "from serieslab.models import build_riccati\n"
+        "try:\n"
+        "    multistage_taylor(build_riccati(0.0), 5, 1e-17, 1.0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)") == f"t_end / step must be at most {MAX_STAGES}\n"
+    with pytest.raises(ValueError, match="t_end / step"):
+        multistage_taylor(model, 5, 1.0 / MAX_STAGES, 1.0 + 1e-9)
+
+
+def test_multistage_runs_at_the_stage_cap():
+    tr = multistage_taylor(build_riccati(0.0), 5, 1.0 / MAX_STAGES, 1.0)
+    assert tr.times[-1] == 1.0
+    assert MAX_STAGES <= tr.times.size - 1 <= MAX_STAGES + 1
 
 
 def test_multistage_order_convergence_under_step_halving():

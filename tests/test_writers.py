@@ -29,6 +29,7 @@ from serieslab.figures import FIGURE_IDS, reproduce_figure
 from serieslab.models import build_riccati, make_model
 from serieslab.scenario import load_preset, preset_names
 from serieslab.svgplot import LinePlot, nice_ticks
+from conftest import run_in_child
 from test_scenario import GOLDEN_SHA256
 
 # -- oracles -----------------------------------------------------------------
@@ -276,6 +277,30 @@ def test_degenerate_automatic_limits_render(curves, polylines):
     assert svg == oracle_render(plot)
     assert svg.count("<polyline") == polylines
     assert "nan" not in svg and "inf" not in svg
+
+
+def test_tick_ladder_over_an_ulp_wide_span_ends():
+    # a span of one ulp at the float 1 - sqrt(2): v + step == v, so the
+    # ladder used to loop forever
+    out = run_in_child("from serieslab.svgplot import nice_ticks\n"
+                       "print(nice_ticks(-0.41421356237309515,"
+                       " -0.41421356237309515 + 2**-54))")
+    assert out == "[-0.41421356237309515]\n"
+
+
+def test_tick_ladder_over_spans_of_a_few_ulps_ends():
+    # spans of 1-4 ulps at several magnitudes: each ladder ends, rising
+    out = run_in_child(
+        "import math\n"
+        "from serieslab.svgplot import nice_ticks\n"
+        "for lo in (-0.41421356237309515, 1.0, -3e-200, 7e150, -1e300):\n"
+        "    for ulps in range(1, 5):\n"
+        "        hi = lo + ulps * math.ulp(lo)\n"
+        "        ticks = nice_ticks(lo, hi)\n"
+        "        assert 1 <= len(ticks) <= 5, (lo, ulps, ticks)\n"
+        "        assert ticks == sorted(set(ticks)), (lo, ulps, ticks)\n"
+        "print('ok')")
+    assert out == "ok\n"
 
 
 finite_or_not = st.one_of(
